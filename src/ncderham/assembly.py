@@ -130,7 +130,6 @@ class AssembledForm:
     row_space: str
     col_space: str
     kind: str
-    eps: float = None
 
 
 def gather_coefficients(dofmap, coeffs, tids=None):
@@ -172,9 +171,9 @@ _FORM_SPACES = {
     "curl_coupling_plain": (PHI, RT),
     "div_coupling": (Q, RT),
     "rt_mass": (RT, RT),
-    "a_h": (PHI, PHI),
-    "a_h_plain": (PHI, PHI),
 }
+
+FORM_KINDS = tuple(_FORM_SPACES)
 
 _SYMMETRIC_KINDS = {
     "poisson_p2",
@@ -182,8 +181,6 @@ _SYMMETRIC_KINDS = {
     "phi_mass",
     "ind_mass",
     "rt_mass",
-    "a_h",
-    "a_h_plain",
 }
 
 _DEFAULT_DEGREE = {
@@ -197,24 +194,16 @@ _DEFAULT_DEGREE = {
 }
 
 
-def assemble_bilinear(kind, mesh, dofmaps, eps=None, quad_degree=None, chunk=_CHUNK):
+def assemble_bilinear(kind, mesh, dofmaps, quad_degree=None, chunk=_CHUNK):
     """Assemble one of the discrete bilinear forms as a sparse matrix.
 
     ``dofmaps`` maps space tags to DofMap objects (must share ``mesh``).
-    The composite kinds ``a_h`` (with the edge-interpolated mass) and
-    ``a_h_plain`` (plain vector mass) require ``eps``.
+    The vector-unknown form of the saddle stage is the sum
+    ``eps**2 * phi_stiffness + ind_mass`` (``phi_mass`` without the edge
+    interpolation); callers build it from the two parts.
     """
     if kind not in _FORM_SPACES:
         raise AssemblyError(f"unknown form kind {kind!r}")
-    if kind in ("a_h", "a_h_plain"):
-        if eps is None or eps < 0:
-            raise AssemblyError(f"{kind} needs a nonnegative eps, got {eps!r}")
-        stiff = assemble_bilinear("phi_stiffness", mesh, dofmaps, chunk=chunk)
-        mass_kind = "ind_mass" if kind == "a_h" else "phi_mass"
-        mass = assemble_bilinear(mass_kind, mesh, dofmaps, chunk=chunk)
-        mat = (eps**2) * stiff.matrix + mass.matrix
-        return AssembledForm(mat.tocsr(), PHI, PHI, kind, eps=eps)
-
     rs, cs = _FORM_SPACES[kind]
     for s in (rs, cs):
         if s not in dofmaps:
@@ -331,6 +320,9 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
     w, pts = rule.weights, rule.points
 
     if kind != "f_vs_p2":
+        # deferred: interpolate builds on this module
+        from .interpolate import fe_gradients, fe_values, nd_interpolant
+
         src = data.dofmap
         expected = {"gradw_vs_indphi": P2, "indphi_vs_gradp2": PHI,
                     "gradw_vs_phi": P2, "phi_vs_gradp2": PHI}[kind]
@@ -340,6 +332,9 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
             )
         if src.mesh is not mesh:
             raise AssemblyError("data function lives on a different mesh")
+
+    if kind == "indphi_vs_gradp2":
+        data = nd_interpolant(data, build_dof_map(ND, mesh))
 
     geom = mesh_geometry(mesh)
     out = np.zeros(target.dim)
@@ -352,32 +347,17 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
             fvals = np.asarray(data.value(phys.reshape(-1, 3))).reshape(phys.shape[:2])
             basis = el.nodal_values(el.LAGRANGE_P2, g, pts)
             local = np.einsum("q,tq,tqi->ti", w, fvals, basis) * g.volume[:, None]
-        elif kind in ("gradw_vs_indphi", "gradw_vs_phi"):
-            cw = gather_coefficients(data.dofmap, data.coeffs, tids)
-            gw = np.einsum(
-                "tj,tqja->tqa", cw, el.nodal_gradients(el.LAGRANGE_P2, g, pts)
-            )
-            if kind == "gradw_vs_indphi":
-                vnd = el.nodal_values(el.NEDELEC2, g, pts)
-                local12 = np.einsum("q,tqa,tqia->ti", w, gw, vnd) * g.volume[:, None]
-                local = np.zeros((local12.shape[0], 16))
-                local[:, :12] = local12
+        else:
+            if kind in ("gradw_vs_indphi", "gradw_vs_phi"):
+                vals = fe_gradients(data, pts, tids)
+                test = el.NEDELEC2 if kind == "gradw_vs_indphi" else el.PHI_NC
+                basis = el.nodal_values(test, g, pts)
             else:
-                vphi = el.nodal_values(el.PHI_NC, g, pts)
-                local = np.einsum("q,tqa,tqia->ti", w, gw, vphi) * g.volume[:, None]
-        elif kind in ("indphi_vs_gradp2", "phi_vs_gradp2"):
-            cphi = gather_coefficients(data.dofmap, data.coeffs, tids)
-            if kind == "indphi_vs_gradp2":
-                vals = np.einsum(
-                    "tj,tqja->tqa", cphi[:, :12], el.nodal_values(el.NEDELEC2, g, pts)
-                )
-            else:
-                vals = np.einsum(
-                    "tj,tqja->tqa", cphi, el.nodal_values(el.PHI_NC, g, pts)
-                )
-            gp2 = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
-            local = np.einsum("q,tqa,tqia->ti", w, vals, gp2) * g.volume[:, None]
-        table = target.cell_table[tids]
+                vals = fe_values(data, pts, tids)
+                basis = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
+            local = np.einsum("q,tqa,tqia->ti", w, vals, basis) * g.volume[:, None]
+        # an ND test basis covers the 12 edge slots that lead a Phi cell row
+        table = target.cell_table[tids][:, : local.shape[1]]
         keep = table >= 0
         np.add.at(out, table[keep], local[keep])
     return out

@@ -22,7 +22,14 @@ from .errors import (
 )
 from .fields import layer_case_fields, smooth_case_fields
 from .mesh import build_unit_cube_mesh
-from .solvers import SolverConfig, SolverFailure, build_spaces, decoupled_solve
+from .quadrature import MAX_DEGREE, TET
+from .solvers import (
+    SPD_SOLVERS,
+    SolverConfig,
+    SolverFailure,
+    build_spaces,
+    decoupled_solve,
+)
 from .verify import (
     CertificationReport,
     check_commuting,
@@ -77,6 +84,14 @@ class StudyConfig:
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
+        if self.spd_solver not in SPD_SOLVERS:
+            raise ConfigError(f"unknown spd_solver {self.spd_solver!r}")
+        for name in ("quad_degree", "load_degree"):
+            degree = getattr(self, name)
+            if not 0 <= degree <= MAX_DEGREE[TET]:
+                raise ConfigError(
+                    f"{name} must lie in [0, {MAX_DEGREE[TET]}], got {degree}"
+                )
         return self
 
 
@@ -121,8 +136,6 @@ def run_study(config, log=print):
                         spd_tol=config.spd_tol,
                         saddle_tol=config.saddle_tol,
                         load_degree=config.load_degree,
-                        error_degree=config.quad_degree,
-                        serial=config.serial,
                     )
                     t0 = time.perf_counter()
                     try:
@@ -212,7 +225,7 @@ def run_verify(config, log=print):
     dofmaps = build_spaces(mesh)
     for method in ("interp", "nointerp"):
         for eps in (1.0, 1e-6):
-            scfg = SolverConfig(eps=eps, method=method, serial=config.serial)
+            scfg = SolverConfig(eps=eps, method=method)
             fields = smooth_case_fields(eps)
             sol = decoupled_solve(fields["f"], mesh, scfg, dofmaps)
             sub = CertificationReport()
@@ -302,18 +315,15 @@ def _load_config(args):
         kwargs["verify"] = args.verify
     if args.infsup is not None:
         kwargs["infsup"] = args.infsup
-    try:
-        config = StudyConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return config.validate()
+    return StudyConfig(**kwargs).validate()
 
 
 def main(argv=None):
     try:
         args = _parse_args(argv)
         config = _load_config(args)
-    except ConfigError as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
+        # unknown fields, malformed numbers and mistyped values included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -14,8 +14,6 @@ over tets: ``bary`` arguments have shape (P, 4) for shared points or
 (nT, P, 4) for per-tet points.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quadrature import EDGE, TET, TRIANGLE, get_rule
@@ -66,20 +64,10 @@ class UnisolvenceError(Exception):
         super().__init__(f"{kind}: DoF matrix singular (cond estimate {cond:.3e})")
 
 
-@dataclass
-class LocalBasis:
-    """Nodal basis of one element: columns are monomial coefficients."""
-
-    kind: str
-    tet: int
-    coefficients: np.ndarray  # (dim, dim), column k = nodal function k
-
-
 def _as_batched(geom, bary):
     bary = np.asarray(bary, dtype=float)
-    nT = geom.num_tets if hasattr(geom, "num_tets") else geom.vertices.shape[0]
     if bary.ndim == 2:
-        bary = np.broadcast_to(bary, (nT,) + bary.shape)
+        bary = np.broadcast_to(bary, (geom.num_tets,) + bary.shape)
     return bary
 
 
@@ -459,50 +447,19 @@ def unisolvence_check(kind, geom):
     return np.linalg.cond(V)
 
 
-def _single_geom(geom):
-    """Promote a per-tet TetGeometry to a batched bundle of one element."""
-    from .mesh import MeshGeometry
-
-    if isinstance(geom, MeshGeometry):
-        return geom
-    return MeshGeometry(
-        vertices=geom.vertices[None],
-        volume=np.array([geom.volume]),
-        grad_lambda=geom.grad_lambda[None],
-        edge_tangents=geom.edge_tangents[None],
-        edge_lengths=geom.edge_lengths[None],
-        face_normals=geom.face_normals[None],
-        face_areas=geom.face_areas[None],
-        face_outward_sign=geom.face_outward_sign[None],
-        diameter=np.array([geom.diameter]),
-        edge_vertices=geom.edge_vertices[None],
-        face_vertices=geom.face_vertices[None],
-    )
-
-
 def eval_shape_basis(kind, geom, point, what="values"):
     """Evaluate the shape monomials of one element at one barycentric point.
 
+    ``geom`` is the geometry of that one element (``mesh.tet_geometry``);
     ``what`` is one of ``values``, ``gradients``, ``curls``.
     """
-    g = _single_geom(geom)
     bary = np.asarray(point, dtype=float).reshape(1, 4)
     if np.any(bary < -1e-12) or abs(bary.sum() - 1.0) > 1e-12:
         raise ValueError("point must be barycentric coordinates inside the tet")
     if what == "values":
-        return shape_values(kind, g, bary)[0, 0]
+        return shape_values(kind, geom, bary)[0, 0]
     if what == "gradients":
-        return shape_gradients(kind, g, bary)[0, 0]
+        return shape_gradients(kind, geom, bary)[0, 0]
     if what == "curls":
-        return shape_curls(kind, g)[0]
+        return shape_curls(kind, geom)[0]
     raise ValueError(f"unknown request {what!r}")
-
-
-def local_nodal_basis(kind, geom, tet=0):
-    """Nodal basis of one element as monomial coefficients (LocalBasis)."""
-    g = _single_geom(geom)
-    V = dof_matrix(kind, g)[0]
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > 1e14:
-        raise UnisolvenceError(kind, cond)
-    return LocalBasis(kind=kind, tet=tet, coefficients=np.linalg.inv(V))

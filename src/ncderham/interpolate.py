@@ -1,6 +1,6 @@
-"""Canonical interpolation into the global spaces and the sparse operator
-matrices linking them (gradient, curl, divergence, edge-DoF interpolation,
-nodal restriction).
+"""Canonical interpolation into the global spaces, evaluation of discrete
+fields, and the sparse operator matrices linking the spaces (gradient,
+curl, divergence, edge-DoF interpolation).
 
 Interpolation sets every interior DoF once, entity by entity, with the
 global orientation conventions of the mesh, so shared DoFs are
@@ -140,7 +140,12 @@ def canonical_interpolate(
 
 
 def fe_values(fe, bary, tids=None):
-    """Values of a discrete function at shared barycentric points, (nT, P[, 3])."""
+    """Values of a discrete function at barycentric points, (nT, P[, 3]).
+
+    ``bary`` is (P, 4) for points shared by all tets or (nT, P, 4) per tet;
+    ``tids`` restricts the evaluation to those tets.  Every evaluation of a
+    discrete field goes through this function or ``fe_gradients``.
+    """
     dofmap = fe.dofmap
     geom = mesh_geometry(dofmap.mesh)
     if tids is not None:
@@ -226,8 +231,8 @@ def diff_operator_matrix(kind, dofmaps):
     """Exact sparse operator between spaces.
 
     Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt), ``div`` (rt -> q),
-    ``ind`` (phi -> nd, edge-DoF selection), ``igrad`` (w -> p2, nodal
-    restriction), ``grad_nd`` (p2 -> nd), ``curl_nd`` (nd -> rt).
+    ``ind`` (phi -> nd, edge-DoF selection), ``grad_nd`` (p2 -> nd),
+    ``curl_nd`` (nd -> rt).
     """
     if kind == "grad":
         _require(dofmaps, W, PHI)
@@ -287,14 +292,6 @@ def diff_operator_matrix(kind, dofmaps):
         pad = sp.csr_matrix((nmap.dim, pmap.dim - nmap.dim))
         mat = sp.hstack([eye, pad]).tocsr()
         return OperatorMatrix(mat, PHI, ND, kind)
-
-    if kind == "igrad":
-        _require(dofmaps, W, P2)
-        wmap, pmap = dofmaps[W], dofmaps[P2]
-        eye = sp.eye(pmap.dim, format="csr")
-        pad = sp.csr_matrix((pmap.dim, wmap.dim - pmap.dim))
-        mat = sp.hstack([eye, pad]).tocsr()
-        return OperatorMatrix(mat, W, P2, kind)
 
     raise AssemblyError(f"unknown operator kind {kind!r}")
 

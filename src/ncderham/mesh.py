@@ -70,23 +70,6 @@ class SimplicialMesh:
 
 
 @dataclass
-class TetGeometry:
-    """Affine geometry of one tetrahedron."""
-
-    vertices: np.ndarray  # (4, 3)
-    volume: float
-    grad_lambda: np.ndarray  # (4, 3)
-    edge_tangents: np.ndarray  # (6, 3) global orientation
-    edge_lengths: np.ndarray  # (6,)
-    face_normals: np.ndarray  # (4, 3) global orientation
-    face_areas: np.ndarray  # (4,)
-    face_outward_sign: np.ndarray  # (4,) outward normal = sign * global normal
-    diameter: float
-    edge_vertices: np.ndarray = None  # (6, 2) local ids, ascending global
-    face_vertices: np.ndarray = None  # (4, 3) local ids, ascending global
-
-
-@dataclass
 class MeshGeometry:
     """Batched affine geometry for all tets of a mesh (arrays over tets)."""
 
@@ -371,23 +354,10 @@ def _translation_classes(mesh, X):
 
 
 def tet_geometry(mesh, tid):
-    """Geometry of a single tet (view into the batched arrays)."""
+    """Batched geometry of the single tet ``tid`` (arrays over one tet)."""
     if tid < 0 or tid >= mesh.num_tets:
         raise IndexError(f"tet id {tid} out of range")
-    g = mesh_geometry(mesh)
-    return TetGeometry(
-        vertices=g.vertices[tid],
-        volume=float(g.volume[tid]),
-        grad_lambda=g.grad_lambda[tid],
-        edge_tangents=g.edge_tangents[tid],
-        edge_lengths=g.edge_lengths[tid],
-        face_normals=g.face_normals[tid],
-        face_areas=g.face_areas[tid],
-        face_outward_sign=g.face_outward_sign[tid],
-        diameter=float(g.diameter[tid]),
-        edge_vertices=g.edge_vertices[tid],
-        face_vertices=g.face_vertices[tid],
-    )
+    return mesh_geometry(mesh).take([tid])
 
 
 def write_vtk(mesh, path):

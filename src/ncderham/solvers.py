@@ -24,6 +24,9 @@ from .fields import AnalyticField
 from .interpolate import FeFunction, diff_operator_matrix
 
 
+SPD_SOLVERS = ("cg", "direct")
+
+
 class SolverFailure(Exception):
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -41,14 +44,14 @@ class SolverConfig:
     saddle_mode: str = "auto"  # "direct", "reduced" or "auto"
     direct_dim_limit: int = 6000
     load_degree: int = 10
-    error_degree: int = 8
-    serial: bool = True
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.spd_solver not in SPD_SOLVERS:
+            raise ValueError(f"unknown SPD solver {self.spd_solver!r}")
         if self.saddle_mode not in ("direct", "reduced", "auto"):
             raise ValueError(f"unknown saddle mode {self.saddle_mode!r}")
         for tol in (self.spd_tol, self.saddle_tol):
@@ -130,15 +133,12 @@ def _equilibrate(K):
     return (S @ K @ S).tocsc(), s
 
 
-def solve_saddle(
-    A, C, D, cell_measures, rhs_phi, config=None, rhs_q=None, rhs_p=None,
-    reduction=None,
-):
+def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, reduction=None):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
-        [ 0    0  -D   e ] [lam] = [rhs_q]
-        [ C^T -D^T 0   0 ] [p  ]   [rhs_p]
+        [ 0    0  -D   e ] [lam] = [0]
+        [ C^T -D^T 0   0 ] [p  ]   [0]
         [ 0   e^T  0   0 ] [nu ]   [0]
 
     where e holds the cell measures (zero-mean constraint on lam).
@@ -154,7 +154,6 @@ def solve_saddle(
     of the full block system, so correctness never rests on the reduction
     argument alone.  ``auto`` picks ``direct`` below ``direct_dim_limit``
     unknowns and ``reduced`` above (when reduction operators are given).
-    The reduced route only covers homogeneous second/third block rows.
     """
     config = config or SolverConfig()
     nphi, nrt = C.shape
@@ -162,24 +161,18 @@ def solve_saddle(
     mode = config.saddle_mode
     if mode == "auto":
         dim = nphi + nq + nrt + 1
-        if reduction is not None and rhs_q is None and rhs_p is None and (
-            dim > config.direct_dim_limit
-        ):
+        if reduction is not None and dim > config.direct_dim_limit:
             mode = "reduced"
         else:
             mode = "direct"
     if mode == "reduced":
         if reduction is None:
             raise SolverFailure("reduced saddle mode needs reduction operators")
-        if rhs_q is not None or rhs_p is not None:
-            raise SolverFailure(
-                "reduced saddle mode supports homogeneous constraint rows only"
-            )
         return _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, reduction)
-    return _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config, rhs_q, rhs_p)
+    return _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config)
 
 
-def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config, rhs_q, rhs_p):
+def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config):
     nphi, nrt = C.shape
     nq = D.shape[0]
     e = sp.csr_matrix(cell_measures.reshape(-1, 1))
@@ -194,10 +187,6 @@ def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config, rhs_q, rhs_p):
     )
     b = np.zeros(K.shape[0])
     b[:nphi] = rhs_phi
-    if rhs_q is not None:
-        b[nphi : nphi + nq] = rhs_q
-    if rhs_p is not None:
-        b[nphi + nq : nphi + nq + nrt] = rhs_p
 
     Ks, s = _equilibrate(K)
     t0 = time.perf_counter()
@@ -337,6 +326,17 @@ def build_spaces(mesh):
     return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
 
 
+def _level_matrix(kind, mesh, dofmaps, cache):
+    """Matrix of a bilinear form or an exact operator on one level, built
+    once per ``cache`` dict (keyed by form or operator kind)."""
+    if kind not in cache:
+        if kind in asm.FORM_KINDS:
+            cache[kind] = asm.assemble_bilinear(kind, mesh, dofmaps)
+        else:
+            cache[kind] = diff_operator_matrix(kind, dofmaps)
+    return cache[kind].matrix
+
+
 def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     """Run the four decoupled stages for source ``f_field``.
 
@@ -352,12 +352,7 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     dofmaps = dofmaps or build_spaces(mesh)
     forms = forms if forms is not None else {}
 
-    def form(kind, **kw):
-        if kind not in forms:
-            forms[kind] = asm.assemble_bilinear(kind, mesh, dofmaps, **kw)
-        return forms[kind]
-
-    S = form("poisson_p2").matrix
+    S = _level_matrix("poisson_p2", mesh, dofmaps, forms)
     b_f = asm.assemble_load(
         "f_vs_p2", mesh, dofmaps, f_field, quad_degree=config.load_degree
     )
@@ -368,26 +363,27 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     w_h = FeFunction(dofmaps[P2], w)
 
     interp = config.method == "interp"
-    stiff = form("phi_stiffness").matrix
-    mass = form("ind_mass" if interp else "phi_mass").matrix
+    stiff = _level_matrix("phi_stiffness", mesh, dofmaps, forms)
+    mass = _level_matrix("ind_mass" if interp else "phi_mass", mesh, dofmaps, forms)
     A = (config.eps**2) * stiff + mass
-    C = form("curl_coupling" if interp else "curl_coupling_plain").matrix
-    D = form("div_coupling").matrix
+    C = _level_matrix(
+        "curl_coupling" if interp else "curl_coupling_plain", mesh, dofmaps, forms
+    )
+    D = _level_matrix("div_coupling", mesh, dofmaps, forms)
     rhs_phi = asm.assemble_load(
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
     vols = asm.q_weights(mesh)
-    if "reduction" not in forms:
-        forms["reduction"] = ReductionOperators(
-            grad=diff_operator_matrix("grad", dofmaps).matrix,
-            curl_nd=diff_operator_matrix("curl_nd", dofmaps).matrix,
-            grad_nd=diff_operator_matrix("grad_nd", dofmaps).matrix,
-            rt_mass=form("rt_mass").matrix,
-        )
+    reduction = ReductionOperators(
+        grad=_level_matrix("grad", mesh, dofmaps, forms),
+        curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
+        grad_nd=_level_matrix("grad_nd", mesh, dofmaps, forms),
+        rt_mass=_level_matrix("rt_mass", mesh, dofmaps, forms),
+    )
     t0 = time.perf_counter()
     try:
         phi, lam, p, nu, saddle_info = solve_saddle(
-            A, C, D, vols, rhs_phi, config, reduction=forms["reduction"]
+            A, C, D, vols, rhs_phi, config, reduction=reduction
         )
     except SolverFailure as exc:
         raise SolverFailure(f"stage 2 (saddle): {exc}", exc.residuals) from exc
@@ -426,30 +422,25 @@ def solution_identity_norms(sol, dofmaps, forms=None):
     Returns absolute norms together with the data scale used by checks:
     with the interpolated method the multiplier vanishes, the flux is
     solenoidal, the edge interpolant of the vector unknown is the gradient
-    of the scalar solve, and the vector unknown is curl-free.
+    of the scalar solve, and the vector unknown is curl-free.  ``forms`` is
+    the level cache of ``decoupled_solve``; without it every matrix is
+    built afresh.
     """
     mesh = sol.w_h.dofmap.mesh
     forms = forms if forms is not None else {}
     vols = asm.q_weights(mesh)
 
-    def form(kind, **kw):
-        if kind not in forms:
-            forms[kind] = asm.assemble_bilinear(kind, mesh, dofmaps, **kw)
-        return forms[kind]
-
     lam_norm = float(np.sqrt(vols @ sol.lambda_h.coeffs**2))
-    div_op = diff_operator_matrix("div", dofmaps).matrix
-    divp = div_op @ sol.p_h.coeffs
+    divp = _level_matrix("div", mesh, dofmaps, forms) @ sol.p_h.coeffs
     divp_norm = float(np.sqrt(vols @ divp**2))
 
-    curl_op = diff_operator_matrix("curl", dofmaps).matrix
-    curlphi = curl_op @ sol.phi_h.coeffs
-    Mrt = form("rt_mass").matrix
+    curlphi = _level_matrix("curl", mesh, dofmaps, forms) @ sol.phi_h.coeffs
+    Mrt = _level_matrix("rt_mass", mesh, dofmaps, forms)
     curl_norm = float(np.sqrt(curlphi @ (Mrt @ curlphi)))
 
-    grad_nd = diff_operator_matrix("grad_nd", dofmaps).matrix
+    grad_nd = _level_matrix("grad_nd", mesh, dofmaps, forms)
     delta = sol.phi_h.coeffs[: dofmaps[ND].dim] - grad_nd @ sol.u_h.coeffs
-    Mnd = form("ind_mass").matrix
+    Mnd = _level_matrix("ind_mass", mesh, dofmaps, forms)
     lifted = np.zeros(dofmaps[PHI].dim)
     lifted[: delta.size] = delta
     ind_grad_norm = float(np.sqrt(lifted @ (Mnd @ lifted)))

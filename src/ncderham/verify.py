@@ -11,10 +11,11 @@ import scipy.linalg
 
 from . import assembly as asm
 from . import elements as el
-from .assembly import ND, P2, PHI, Q, RT, W
-from .interpolate import FeFunction, diff_operator_matrix
+from .assembly import ND, PHI, Q, RT, W
+from .interpolate import FeFunction, diff_operator_matrix, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
+from .solvers import build_spaces
 
 
 @dataclass
@@ -74,9 +75,7 @@ def face_jump_means(fe):
     Returns (n_interior_faces, arity) integrals computed with triangle
     quadrature from both adjacent elements.
     """
-    dofmap = fe.dofmap
-    mesh = dofmap.mesh
-    geom = mesh_geometry(mesh)
+    mesh = fe.dofmap.mesh
     ids = np.flatnonzero(~mesh.boundary_face)
     rule = get_rule(TRIANGLE, 6)
     q = rule.npoints
@@ -98,11 +97,7 @@ def face_jump_means(fe):
                 rule.points[None, :, c, None],
                 axis=2,
             )
-        vals = np.einsum(
-            "tj,tqj...->tq...",
-            asm.gather_coefficients(dofmap, fe.coeffs, tids),
-            el.nodal_values(dofmap.element, geom.take(tids), bary),
-        )
+        vals = fe_values(fe, bary, tids)
         sides.append(np.einsum("q,tq...->t...", rule.weights, vals))
     return (sides[0] - sides[1]) * areas.reshape((-1,) + (1,) * (sides[0].ndim - 1))
 
@@ -110,7 +105,7 @@ def face_jump_means(fe):
 def check_complex(mesh, report=None, rank_tol=1e-8):
     """Composition-zero, injectivity/rank and exactness counts (dense)."""
     report = report if report is not None else CertificationReport()
-    dofmaps = {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+    dofmaps = build_spaces(mesh)
     if dofmaps[PHI].dim > 2000:
         raise MemoryError(
             "dense rank checks are limited to small meshes (n <= 2); "
@@ -377,7 +372,7 @@ def _check_commuting_global(mesh, report, tol):
     """Global interior-DoF identities for boundary-compatible fields."""
     from . import interpolate as itp
 
-    dofmaps = {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+    dofmaps = build_spaces(mesh)
     scalar, grad_field, vec, curl = _bubble_compatible_fields()
 
     iw = itp.canonical_interpolate(dofmaps[W], scalar)
@@ -466,7 +461,7 @@ def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
     mesh stability, reported for each listed perturbation parameter.
     """
     report = report if report is not None else CertificationReport()
-    dofmaps = {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+    dofmaps = build_spaces(mesh)
     if dofmaps[PHI].dim > 2000:
         raise MemoryError("inf-sup check is dense; use n <= 2")
     S = asm.assemble_bilinear("phi_stiffness", mesh, dofmaps).matrix.toarray()

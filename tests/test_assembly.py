@@ -7,7 +7,7 @@ from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.fields import AnalyticField
 from ncderham.interpolate import FeFunction, canonical_interpolate
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
-from ncderham.quadrature import barycentric_monomial_mean
+from ncderham.quadrature import TET, barycentric_monomial_mean, get_rule
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +81,6 @@ def test_ind_mass_psd_kernel(mesh2, maps2):
     assert nullity == maps2[PHI].dim - nd_dim
 
 
-def test_a_h_eps0_is_ind_mass_quadratic_form(mesh2, maps2):
-    rng = np.random.default_rng(3)
-    a0 = asm.assemble_bilinear("a_h", mesh2, maps2, eps=0.0)
-    m = asm.assemble_bilinear("ind_mass", mesh2, maps2)
-    psi = rng.standard_normal(maps2[PHI].dim)
-    assert a0.eps == 0.0
-    assert abs(psi @ (a0.matrix @ psi) - psi @ (m.matrix @ psi)) < 1e-12 * (
-        1 + abs(psi @ (m.matrix @ psi))
-    )
-    with pytest.raises(asm.AssemblyError):
-        asm.assemble_bilinear("a_h", mesh2, maps2, eps=-1.0)
-
-
 def test_curl_coupling_with_and_without_interpolation(mesh2, maps2):
     with_map = asm.assemble_bilinear("curl_coupling", mesh2, maps2).matrix
     plain = asm.assemble_bilinear("curl_coupling_plain", mesh2, maps2).matrix
@@ -137,6 +124,30 @@ def test_load_zero_function_and_enrichment_annihilation(mesh2, maps2):
     phi.coeffs[maps2[ND].dim :] = 1.7
     load2 = asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, phi)
     assert np.abs(load2).max() == 0.0
+
+
+def test_indphi_load_is_the_nd_route(mesh2, maps2):
+    """The edge-interpolated load equals the load of the Phi function's edge
+    coefficients against the ND basis, bit for bit."""
+    rng = np.random.default_rng(37)
+    phi = FeFunction(maps2[PHI], rng.standard_normal(maps2[PHI].dim))
+    load = asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, phi)
+
+    geom = mesh_geometry(mesh2)
+    rule = get_rule(TET, 2)
+    local_phi = asm.gather_coefficients(maps2[PHI], phi.coeffs)
+    vals = np.einsum(
+        "tj,tqja->tqa",
+        local_phi[:, :12],
+        el.nodal_values(el.NEDELEC2, geom, rule.points),
+    )
+    gp2 = el.nodal_gradients(el.LAGRANGE_P2, geom, rule.points)
+    local = np.einsum("q,tqa,tqia->ti", rule.weights, vals, gp2) * geom.volume[:, None]
+    expected = np.zeros(maps2[P2].dim)
+    table = maps2[P2].cell_table
+    keep = table >= 0
+    np.add.at(expected, table[keep], local[keep])
+    assert np.array_equal(load, expected)
 
 
 def test_space_tag_mismatch_raises(mesh2, maps2):

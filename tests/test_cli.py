@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,15 @@ def test_cli_config_error_exit_code(tmp_path):
     broken.write_text("{not json")
     assert main(["--config", str(broken)]) == 2
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
+    assert main(["--quad-degree", "13"]) == 2
+    assert main(["--epsilon", "abc"]) == 2
+    for fields in (
+        {"spd_solver": "LU"}, {"load_degree": 13}, {"quad_degree": "8"},
+        {"epsilons": 1e-4},
+    ):
+        cfg = tmp_path / "invalid.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["--config", str(cfg)]) == 2
 
 
 def test_run_study_writes_outputs(tmp_path):
@@ -58,6 +68,19 @@ def test_serial_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
     assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
+
+def test_serial_study_csv_matches_the_recorded_table(tmp_path):
+    """The --serial study CSV is pinned byte for byte, so refactors of the
+    assembly, evaluation and solver paths cannot move any reported digit."""
+    golden = Path(__file__).parent / "data" / "study_serial_2_4.csv"
+    out = tmp_path / "study"
+    args = [
+        "--test", "both", "--method", "both", "--epsilon", "1,1e-4",
+        "--levels", "2,4", "--serial", "--out", str(out),
+    ]
+    assert main(args) == 0
+    assert (out / "study.csv").read_bytes() == golden.read_bytes()
 
 
 def test_markdown_and_csv_agree(tmp_path):

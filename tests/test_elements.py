@@ -34,8 +34,8 @@ class AffineBary:
 
     def __init__(self, mesh):
         g = tet_geometry(mesh, 0)
-        self.gl = g.grad_lambda
-        self.verts = g.vertices
+        self.gl = g.grad_lambda[0]
+        self.verts = g.vertices[0]
 
     def __call__(self, X):
         return 1.0 + np.einsum(
@@ -100,7 +100,7 @@ def test_phi_enrichment_value_at_barycenter():
     g = tet_geometry(mesh, 0)
     vals = el.eval_shape_basis(el.PHI_NC, g, [0.25, 0.25, 0.25, 0.25])
     # grad(b_T lambda_0) at the barycenter equals grad(lambda_0)/256
-    assert np.abs(vals[12] - g.grad_lambda[0] / 256.0).max() < 1e-14
+    assert np.abs(vals[12] - g.grad_lambda[0, 0] / 256.0).max() < 1e-14
 
 
 def test_p0_basis_and_scalar_curl_error():

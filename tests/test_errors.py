@@ -105,6 +105,20 @@ def test_err_phi_triangle_inequality(mesh2, maps2):
     assert combo0 >= l2p - 1e-14
 
 
+def test_l2_vs_ind_is_l2_of_the_nd_interpolant(mesh2, maps2):
+    """The edge-interpolated L2 error is the plain L2 error of the ND
+    companion, bit for bit."""
+    from ncderham.interpolate import nd_interpolant
+
+    data = smooth_case_fields(1e-4)
+    rng = np.random.default_rng(31)
+    fe = FeFunction(maps2[PHI], rng.standard_normal(maps2[PHI].dim))
+    nd = nd_interpolant(fe, maps2[ND])
+    assert compute_error("l2_vs_ind", fe, data["phi"]) == compute_error(
+        "l2_vector", nd, data["phi"]
+    )
+
+
 def test_quadrature_stability_of_error_norms():
     """Raising the error quadrature degree from 8 to 10 moves results < 0.1%."""
     from ncderham.solvers import SolverConfig, build_spaces, decoupled_solve

@@ -128,13 +128,6 @@ def test_curl_of_nd_interpolant_equals_curl(maps2):
     assert abs(prod - curl_phi).max() <= 1e-12
 
 
-def test_igrad_is_nodal_restriction(maps2):
-    igrad = diff_operator_matrix("igrad", maps2).matrix.toarray()
-    p2_dim = maps2[P2].dim
-    assert np.array_equal(igrad[:, :p2_dim], np.eye(p2_dim))
-    assert np.abs(igrad[:, p2_dim:]).max() == 0.0
-
-
 def test_grad_matrix_matches_quadrature(mesh2, maps2):
     """Phi DoFs of gradients of W nodal functions: exact relations vs
     direct quadrature of the gradient field."""

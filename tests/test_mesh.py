@@ -86,8 +86,8 @@ def test_reference_tet_geometry():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
     mesh = build_mesh_from_tets(verts, [[0, 1, 2, 3]])
     g = tet_geometry(mesh, 0)
-    assert abs(g.volume - 1.0 / 6.0) < 1e-15
-    assert g.diameter == pytest.approx(np.sqrt(2.0))
+    assert abs(g.volume[0] - 1.0 / 6.0) < 1e-15
+    assert g.diameter[0] == pytest.approx(np.sqrt(2.0))
     assert np.all(mesh.boundary_face)
 
 

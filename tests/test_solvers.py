@@ -23,6 +23,12 @@ def setup2():
     return mesh, build_spaces(mesh)
 
 
+def vector_form(mesh, maps, eps, mass="ind_mass"):
+    """The saddle stage's vector-unknown matrix, eps^2 * stiffness + mass."""
+    stiff = asm.assemble_bilinear("phi_stiffness", mesh, maps).matrix
+    return (eps**2) * stiff + asm.assemble_bilinear(mass, mesh, maps).matrix
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=-1.0)
@@ -30,6 +36,8 @@ def test_config_validation():
         SolverConfig(method="magic")
     with pytest.raises(ValueError):
         SolverConfig(spd_tol=2.0)
+    with pytest.raises(ValueError):
+        SolverConfig(spd_solver="LU")
 
 
 def test_solve_spd_identity_and_tridiagonal():
@@ -74,7 +82,7 @@ def test_solve_spd_failure_reports_history():
 def test_saddle_zero_rhs(setup2):
     mesh, maps = setup2
     cfg = SolverConfig(eps=0.5)
-    A = asm.assemble_bilinear("a_h", mesh, maps, eps=0.5).matrix
+    A = vector_form(mesh, maps, 0.5)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     vols = asm.q_weights(mesh)
@@ -90,7 +98,7 @@ def test_saddle_manufactured_curl_free(setup2):
     recover it from the consistent right-hand side."""
     mesh, maps = setup2
     cfg = SolverConfig(eps=0.7)
-    A = asm.assemble_bilinear("a_h", mesh, maps, eps=0.7).matrix
+    A = vector_form(mesh, maps, 0.7)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     vols = asm.q_weights(mesh)
@@ -110,7 +118,7 @@ def test_saddle_tiny_eps_robustness(setup2):
     mesh, maps = setup2
     eps = 1e-10
     cfg = SolverConfig(eps=eps)
-    A = asm.assemble_bilinear("a_h", mesh, maps, eps=eps).matrix
+    A = vector_form(mesh, maps, eps)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     vols = asm.q_weights(mesh)
@@ -158,8 +166,8 @@ def test_reduced_mode_matches_direct(setup2):
         rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
     )
     rng = np.random.default_rng(7)
-    for eps, form in ((0.6, "a_h"), (1e-6, "a_h"), (0.3, "a_h_plain")):
-        A = asm.assemble_bilinear(form, mesh, maps, eps=eps).matrix
+    for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
+        A = vector_form(mesh, maps, eps, mass)
         C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
         D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
         vols = asm.q_weights(mesh)
