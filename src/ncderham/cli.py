@@ -41,6 +41,10 @@ from .verify import (
 )
 
 
+# the deterministic part of each inner solve's record that study.json keeps
+KRYLOV_SUMMARY = ("stage", "sweep", "iterations", "reason")
+
+
 class ConfigError(Exception):
     pass
 
@@ -180,6 +184,10 @@ def run_study(config, log=print):
                             err_u_h1=e_uh1,
                             rate_u_h1=None,
                             solve_seconds=None if config.serial else seconds,
+                            krylov=[
+                                {k: r[k] for k in KRYLOV_SUMMARY}
+                                for r in sol.diagnostics["krylov"]
+                            ],
                         )
                     )
                     log(

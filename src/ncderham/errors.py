@@ -115,6 +115,8 @@ class StudyRow:
     err_u_h1: float
     rate_u_h1: float
     solve_seconds: float  # None when timings are suppressed
+    # one entry per inner Krylov solve: stage, sweep, iterations, reason
+    krylov: list = None
 
 
 CSV_HEADER = (

@@ -83,42 +83,64 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_spd(matrix, rhs, config=None, stats=None):
-    """Solve an SPD system by Jacobi-preconditioned CG (or sparse LU).
+def _jacobi_cg(matrix, rhs, config, M, atol):
+    """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
 
-    ``stats``, when given a dict, receives the iteration count.
+    Returns the iterate and the solve's record: ``iterations``, the true
+    residual ``||rhs - matrix x||``, the stopping ``target`` and the stop
+    ``reason`` (``converged``, ``maxiter`` or ``zero_rhs``).
     """
-    config = config or SolverConfig()
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
-        raise ValueError("rhs does not match the matrix")
+    target = float(max(atol, config.spd_tol * np.linalg.norm(rhs)))
     if not np.any(rhs):
-        if stats is not None:
-            stats["iterations"] = stats.get("iterations", 0)
-        return np.zeros_like(rhs)
-    if config.spd_solver == "direct":
-        return spla.splu(matrix.tocsc()).solve(rhs)
-    diag = matrix.diagonal()
-    if np.any(diag <= 0):
-        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-    M = sp.diags(1.0 / diag)
+        record = {"iterations": 0, "residual": 0.0, "target": target,
+                  "reason": "zero_rhs"}
+        return np.zeros_like(rhs), record
     count = [0]
-    history = []
 
     def cb(xk):
         count[0] += 1
 
     x, info = spla.cg(
-        matrix, rhs, rtol=config.spd_tol, atol=0.0,
+        matrix, rhs, rtol=config.spd_tol, atol=atol,
         maxiter=config.spd_maxiter, M=M, callback=cb,
     )
+    record = {
+        "iterations": count[0],
+        "residual": float(np.linalg.norm(rhs - matrix @ x)),
+        "target": target,
+        "reason": "converged" if info == 0 else "maxiter",
+    }
+    return x, record
+
+
+def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0):
+    """Solve an SPD system by Jacobi-preconditioned CG (or sparse LU).
+
+    CG stops once the residual norm falls below ``max(atol, spd_tol *
+    ||rhs||)``.  ``stats``, when given a dict, receives the solve's record
+    (see ``_jacobi_cg``; a sparse-LU solve has reason ``direct`` and no
+    target).
+    """
+    config = config or SolverConfig()
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
+        raise ValueError("rhs does not match the matrix")
+    if config.spd_solver == "direct":
+        x = spla.splu(matrix.tocsc()).solve(rhs) if np.any(rhs) else np.zeros_like(rhs)
+        record = {"iterations": 0,
+                  "residual": float(np.linalg.norm(rhs - matrix @ x)),
+                  "target": None, "reason": "direct"}
+    else:
+        diag = matrix.diagonal()
+        if np.any(diag <= 0):
+            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+        x, record = _jacobi_cg(matrix, rhs, config, sp.diags(1.0 / diag), atol)
     if stats is not None:
-        stats["iterations"] = stats.get("iterations", 0) + count[0]
-    if info != 0:
-        history.append(float(np.linalg.norm(rhs - matrix @ x)))
+        stats.update(record)
+    if record["reason"] == "maxiter":
         raise SolverFailure(
             f"CG did not reach rtol {config.spd_tol} in {config.spd_maxiter} iterations",
-            residuals=history,
+            residuals=[record["residual"]],
         )
     return x
 
@@ -220,6 +242,7 @@ def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config):
         "residuals": residuals,
         "fill_nnz": int(lu.nnz),
         "dim": K.shape[0],
+        "krylov": [],
     }
     phi = x[:nphi]
     lam = x[nphi : nphi + nq]
@@ -253,27 +276,37 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
     phi = np.zeros(nphi)
     p = np.zeros(C.shape[1])
     bnorm = np.linalg.norm(rhs_phi)
+    # every inner solve stops at the outer problem's scale as well as
+    # relative to its own right-hand side
+    atol = config.spd_tol * (1.0 + bnorm)
     residuals = []
-    for _ in range(4):
+    krylov = []
+    for sweep in range(1, 5):
         r_phi = rhs_phi - A @ phi - C @ p
         res = float(np.linalg.norm(r_phi) / (1.0 + bnorm))
         residuals.append(res)
         if res <= config.saddle_tol:
             break
-        w = solve_spd(Ared, G.T @ r_phi, config)
+        potential, projection = {}, {}
+        w = solve_spd(Ared, G.T @ r_phi, config, stats=potential, atol=atol)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
         # the solver tolerance of the potential step leaves a tiny component
         # in the gradient directions; remove it so the flux system is
         # consistent for CG
-        z = solve_spd(L, Gnd.T @ r_e, config)
+        z = solve_spd(L, Gnd.T @ r_e, config, stats=projection, atol=atol)
         r_e = r_e - Gnd @ z
-        y = _solve_consistent(Z, r_e, config)
+        y, flux = _solve_consistent(Z, r_e, config, atol)
+        for stage, record in (
+            ("potential", potential), ("projection", projection), ("flux", flux)
+        ):
+            krylov.append({"stage": stage, "sweep": sweep, **record})
         phi = phi + dphi
         p = p + Knd @ y
     else:
         raise SolverFailure(
-            f"reduced saddle refinement stalled at residual {residuals[-1]:.3e}",
+            f"reduced saddle refinement stalled at residual {residuals[-1]:.3e}"
+            + _maxiter_note(krylov),
             residuals,
         )
 
@@ -291,7 +324,8 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
     )
     if full_res > 10 * config.saddle_tol:
         raise SolverFailure(
-            f"reduced saddle certificate failed: residual {full_res:.3e}",
+            f"reduced saddle certificate failed: residual {full_res:.3e}"
+            + _maxiter_note(krylov),
             residuals + [full_res],
         )
     info = {
@@ -299,26 +333,26 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
         "factor_seconds": time.perf_counter() - t0,
         "residuals": residuals + [full_res],
         "dim": nphi + nq + C.shape[1] + 1,
+        "krylov": krylov,
     }
     return phi, lam, p, 0.0, info
 
 
-def _solve_consistent(Z, b, config):
-    """CG for a consistent positive-semidefinite system (flux curl-curl)."""
-    if not np.any(b):
-        return np.zeros_like(b)
+def _maxiter_note(krylov):
+    hits = [f"{r['stage']} (sweep {r['sweep']})" for r in krylov
+            if r["reason"] == "maxiter"]
+    return f"; inner solves stopped at maxiter: {', '.join(hits)}" if hits else ""
+
+
+def _solve_consistent(Z, b, config, atol):
+    """CG for a consistent positive-semidefinite system (flux curl-curl).
+
+    A solve that hits ``spd_maxiter`` is returned with reason ``maxiter``;
+    the full-block certificate of the saddle stage decides on it.
+    """
     diag = Z.diagonal()
     M = sp.diags(np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0))
-    x, info = spla.cg(
-        Z, b, rtol=config.spd_tol, atol=0.0, maxiter=config.spd_maxiter, M=M
-    )
-    if info != 0:
-        # semidefinite systems may stall at the consistency floor; accept
-        # if the projected residual is small, else report failure
-        r = b - Z @ x
-        if np.linalg.norm(r) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            raise SolverFailure(f"flux CG did not converge (info={info})")
-    return x
+    return _jacobi_cg(Z, b, config, M, atol)
 
 
 def build_spaces(mesh):
@@ -356,9 +390,12 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     b_f = asm.assemble_load(
         "f_vs_p2", mesh, dofmaps, f_field, quad_degree=config.load_degree
     )
-    cg_stats = {}
+    poisson_w = {}
     t0 = time.perf_counter()
-    w = solve_spd(S, b_f, config, stats=cg_stats)
+    try:
+        w = solve_spd(S, b_f, config, stats=poisson_w)
+    except SolverFailure as exc:
+        raise SolverFailure(f"stage 1 (poisson w): {exc}", exc.residuals) from exc
     t_w = time.perf_counter() - t0
     w_h = FeFunction(dofmaps[P2], w)
 
@@ -395,8 +432,12 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     b_u = asm.assemble_load(
         "indphi_vs_gradp2" if interp else "phi_vs_gradp2", mesh, dofmaps, phi_h
     )
+    poisson_u = {}
     t0 = time.perf_counter()
-    u = solve_spd(S, b_u, config, stats=cg_stats)
+    try:
+        u = solve_spd(S, b_u, config, stats=poisson_u)
+    except SolverFailure as exc:
+        raise SolverFailure(f"stage 4 (poisson u): {exc}", exc.residuals) from exc
     t_u = time.perf_counter() - t0
     u_h = FeFunction(dofmaps[P2], u)
 
@@ -408,7 +449,11 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
         "stage_seconds": {"w": t_w, "saddle": t_saddle, "u": t_u},
         "total_seconds": time.perf_counter() - t_start,
         "saddle": saddle_info,
-        "poisson_cg_iterations": cg_stats.get("iterations", 0),
+        "krylov": [
+            {"stage": "poisson_w", "sweep": None, **poisson_w},
+            *saddle_info["krylov"],
+            {"stage": "poisson_u", "sweep": None, **poisson_u},
+        ],
         "multiplier_nu": nu,
         "dims": {s: dofmaps[s].dim for s in dofmaps},
     }

@@ -56,6 +56,11 @@ def test_run_study_writes_outputs(tmp_path):
     data = json.loads((out / "study.json").read_text())
     assert data[0]["n"] == 1 and data[1]["n"] == 2
     assert data[0]["solve_seconds"] is None  # suppressed under --serial
+    # each row carries its inner solves' summary, without timings
+    stages = [r["stage"] for r in data[1]["krylov"]]
+    assert stages[0] == "poisson_w" and stages[-1] == "poisson_u"
+    for record in data[1]["krylov"]:
+        assert set(record) == {"stage", "sweep", "iterations", "reason"}
 
 
 def test_serial_runs_are_byte_identical(tmp_path):

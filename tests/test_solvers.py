@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 from ncderham import assembly as asm
 from ncderham.assembly import ND, PHI, W
-from ncderham.fields import smooth_case_fields
+from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
 from ncderham.mesh import build_unit_cube_mesh
 from ncderham.solvers import (
+    ReductionOperators,
     SolverConfig,
     SolverFailure,
     build_spaces,
@@ -16,10 +17,18 @@ from ncderham.solvers import (
     solve_spd,
 )
 
+SADDLE_STAGES = ("potential", "projection", "flux")
+
 
 @pytest.fixture(scope="module")
 def setup2():
     mesh = build_unit_cube_mesh(2)
+    return mesh, build_spaces(mesh)
+
+
+@pytest.fixture(scope="module")
+def setup4():
+    mesh = build_unit_cube_mesh(4)
     return mesh, build_spaces(mesh)
 
 
@@ -202,3 +211,76 @@ def test_stage_matrices_shared(setup2):
     n_before = len(forms)
     decoupled_solve(data["f"], mesh, cfg, maps, forms)
     assert len(forms) == n_before
+
+
+def test_inner_stops_end_the_small_eps_flux_stall(setup4):
+    """At eps=1e-8 the flux right-hand side lies below the outer problem's
+    scale, so the flux solve stops at once instead of running to maxiter."""
+    mesh, maps = setup4
+    cfg = SolverConfig(eps=1e-8, saddle_mode="reduced")
+    sol = decoupled_solve(layer_case_fields()["f"], mesh, cfg, maps)
+    saddle = sol.diagnostics["saddle"]
+    assert saddle["mode"] == "reduced"
+    assert saddle["krylov"]
+    assert all(r["reason"] == "converged" for r in saddle["krylov"])
+    assert [r["iterations"] for r in saddle["krylov"] if r["stage"] == "flux"] == [0]
+    assert saddle["residuals"][-1] <= cfg.saddle_tol
+
+
+def test_inner_stops_are_certificate_scaled(setup4):
+    """Every inner solve of the reduced saddle stops at spd_tol times the
+    saddle's data scale, unless its own relative stop is the looser one
+    (the first potential solve, whose right-hand side is the data itself)."""
+    mesh, maps = setup4
+    cfg = SolverConfig(eps=1.0, saddle_mode="reduced")
+    sol = decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
+    rhs_phi = asm.assemble_load("gradw_vs_indphi", mesh, maps, sol.w_h)
+    atol = cfg.spd_tol * (1.0 + np.linalg.norm(rhs_phi))
+    grad = diff_operator_matrix("grad", maps).matrix
+    first_potential = max(atol, cfg.spd_tol * np.linalg.norm(grad.T @ rhs_phi))
+
+    records = sol.diagnostics["krylov"]
+    assert records[0]["stage"] == "poisson_w"
+    assert records[-1]["stage"] == "poisson_u"
+    saddle = records[1:-1]
+    assert saddle == sol.diagnostics["saddle"]["krylov"]
+    assert [r["stage"] for r in saddle] == list(SADDLE_STAGES) * (len(saddle) // 3)
+    assert "poisson_cg_iterations" not in sol.diagnostics
+    for r in saddle:
+        assert r["reason"] == "converged"
+        assert r["residual"] <= r["target"]
+        if r["stage"] == "potential" and r["sweep"] == 1:
+            assert r["target"] == pytest.approx(first_potential, rel=1e-12)
+        else:
+            assert r["target"] == atol
+
+
+def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
+    """A flux solve that hits maxiter is not judged by a floor of its own:
+    the refinement and the certificate decide, and the failure names it."""
+    mesh, maps = setup2
+    red = ReductionOperators(
+        grad=diff_operator_matrix("grad", maps).matrix,
+        curl_nd=diff_operator_matrix("curl_nd", maps).matrix,
+        grad_nd=diff_operator_matrix("grad_nd", maps).matrix,
+        rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
+    )
+    A = vector_form(mesh, maps, 0.6)
+    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
+    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
+    # a pure flux right-hand side: the potential solves take no iterations
+    pstar = red.curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
+    cfg = SolverConfig(eps=0.6, saddle_mode="reduced", spd_maxiter=5)
+    with pytest.raises(SolverFailure) as exc:
+        solve_saddle(A, C, D, asm.q_weights(mesh), C @ pstar, cfg, reduction=red)
+    assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
+    assert exc.value.residuals
+
+
+def test_inner_solve_failure_names_its_stage(setup4):
+    mesh, maps = setup4
+    cfg = SolverConfig(eps=1.0, saddle_mode="reduced", spd_maxiter=3)
+    with pytest.raises(SolverFailure) as exc:
+        decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
+    assert str(exc.value).startswith("stage 1 (poisson w): ")
+    assert exc.value.residuals
