@@ -366,11 +366,3 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
 def q_weights(mesh):
     """Cell measures, i.e. the L2 inner product weights of the constants."""
     return mesh_geometry(mesh).volume.copy()
-
-
-def export_matrix_market(form, path):
-    """Dump an assembled matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mat = form.matrix if isinstance(form, AssembledForm) else form
-    mmwrite(path, sp.coo_matrix(mat))

@@ -23,13 +23,7 @@ from .errors import (
 from .fields import layer_case_fields, smooth_case_fields
 from .mesh import build_unit_cube_mesh
 from .quadrature import MAX_DEGREE, TET
-from .solvers import (
-    SPD_SOLVERS,
-    SolverConfig,
-    SolverFailure,
-    build_spaces,
-    decoupled_solve,
-)
+from .solvers import SolverConfig, SolverFailure, build_spaces, decoupled_solve
 from .verify import (
     CertificationReport,
     check_commuting,
@@ -56,8 +50,6 @@ class StudyConfig:
     epsilons: tuple = (1e-4,)
     levels: tuple = (4, 8)
     quad_degree: int = 8
-    load_degree: int = 10
-    spd_solver: str = "cg"
     spd_tol: float = 1e-12
     saddle_tol: float = 1e-10
     serial: bool = False
@@ -88,14 +80,11 @@ class StudyConfig:
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
-        if self.spd_solver not in SPD_SOLVERS:
-            raise ConfigError(f"unknown spd_solver {self.spd_solver!r}")
-        for name in ("quad_degree", "load_degree"):
-            degree = getattr(self, name)
-            if not 0 <= degree <= MAX_DEGREE[TET]:
-                raise ConfigError(
-                    f"{name} must lie in [0, {MAX_DEGREE[TET]}], got {degree}"
-                )
+        if not 0 <= self.quad_degree <= MAX_DEGREE[TET]:
+            raise ConfigError(
+                f"quad_degree must lie in [0, {MAX_DEGREE[TET]}], "
+                f"got {self.quad_degree}"
+            )
         return self
 
 
@@ -136,10 +125,8 @@ def run_study(config, log=print):
                     scfg = SolverConfig(
                         eps=eps,
                         method=method,
-                        spd_solver=config.spd_solver,
                         spd_tol=config.spd_tol,
                         saddle_tol=config.saddle_tol,
-                        load_degree=config.load_degree,
                     )
                     t0 = time.perf_counter()
                     try:

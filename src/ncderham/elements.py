@@ -445,21 +445,3 @@ def unisolvence_check(kind, geom):
     """Condition numbers of the DoF matrices, (T,)."""
     V = dof_matrix(kind, geom)
     return np.linalg.cond(V)
-
-
-def eval_shape_basis(kind, geom, point, what="values"):
-    """Evaluate the shape monomials of one element at one barycentric point.
-
-    ``geom`` is the geometry of that one element (``mesh.tet_geometry``);
-    ``what`` is one of ``values``, ``gradients``, ``curls``.
-    """
-    bary = np.asarray(point, dtype=float).reshape(1, 4)
-    if np.any(bary < -1e-12) or abs(bary.sum() - 1.0) > 1e-12:
-        raise ValueError("point must be barycentric coordinates inside the tet")
-    if what == "values":
-        return shape_values(kind, geom, bary)[0, 0]
-    if what == "gradients":
-        return shape_gradients(kind, geom, bary)[0, 0]
-    if what == "curls":
-        return shape_curls(kind, geom)[0]
-    raise ValueError(f"unknown request {what!r}")

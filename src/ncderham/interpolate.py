@@ -2,12 +2,12 @@
 fields, and the sparse operator matrices linking the spaces (gradient,
 curl, divergence, edge-DoF interpolation).
 
-Interpolation sets every interior DoF once, entity by entity, with the
-global orientation conventions of the mesh, so shared DoFs are
-single-valued by construction.  The operator matrices are exact: they are
-built from DoF identities (integration by parts along edges, Stokes on
-faces, the divergence theorem per cell) and carry rational entries, not
-quadrature approximations.
+Interpolation applies the element DoFs tet by tet; the local DoFs carry
+the global orientation conventions of the mesh, so shared DoFs are
+single-valued.  The operator matrices are exact: they are built from DoF
+identities (integration by parts along edges, Stokes on faces, the
+divergence theorem per cell) and carry rational entries, not quadrature
+approximations.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from . import elements as el
 from .assembly import ND, P2, PHI, Q, RT, W, AssemblyError, DofMap, gather_coefficients
 from .mesh import mesh_geometry
-from .quadrature import EDGE, TET, TRIANGLE, get_rule
 
 
 @dataclass
@@ -44,27 +43,12 @@ class OperatorMatrix:
     kind: str
 
 
-def _edge_data(mesh, interior_only=True):
-    ids = np.flatnonzero(~mesh.boundary_edge) if interior_only else np.arange(
-        mesh.num_edges
-    )
+def _edge_data(mesh):
+    ids = np.flatnonzero(~mesh.boundary_edge)
     va = mesh.vertices[mesh.edges[ids, 0]]
     vb = mesh.vertices[mesh.edges[ids, 1]]
     lengths = np.linalg.norm(vb - va, axis=1)
-    tangents = (vb - va) / lengths[:, None]
-    return ids, va, vb, lengths, tangents
-
-
-def _face_data(mesh, interior_only=True):
-    ids = np.flatnonzero(~mesh.boundary_face) if interior_only else np.arange(
-        mesh.num_faces
-    )
-    tri = mesh.vertices[mesh.faces[ids]]  # (n, 3, 3)
-    cr = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    nrm = np.linalg.norm(cr, axis=1)
-    normals = cr / nrm[:, None]
-    areas = 0.5 * nrm
-    return ids, tri, areas, normals
+    return ids, lengths
 
 
 def canonical_interpolate(
@@ -72,70 +56,22 @@ def canonical_interpolate(
 ):
     """Interpolate an analytic field by evaluating the canonical DoFs.
 
-    For the piecewise-constant space the result is the elementwise mean,
-    shifted to zero global mean unless ``zero_mean`` is False.
+    The element DoFs are applied on every tet and scattered through the
+    cell table; local DoFs follow the global orientation conventions, so a
+    DoF shared by several tets receives the same value from each.  For the
+    piecewise-constant space the result is the elementwise mean, shifted to
+    zero global mean unless ``zero_mean`` is False.
     """
-    mesh = dofmap.mesh
-    space = dofmap.space
+    geom = mesh_geometry(dofmap.mesh)
+    local = el.apply_dofs(
+        dofmap.element, geom, field, edge_degree, tri_degree, tet_degree
+    )
+    table = dofmap.cell_table
+    keep = table >= 0
     coeffs = np.zeros(dofmap.dim)
-
-    if space == Q:
-        rule = get_rule(TET, tet_degree)
-        geom = mesh_geometry(mesh)
-        pts = np.einsum("qi,tij->tqj", rule.points, geom.vertices)
-        vals = np.asarray(field.value(pts.reshape(-1, 3))).reshape(pts.shape[:2])
-        coeffs = vals @ rule.weights
-        if zero_mean:
-            coeffs -= (coeffs @ geom.volume) / geom.volume.sum()
-        return FeFunction(dofmap, coeffs)
-
-    if space in (P2, W):
-        ids = np.flatnonzero(~mesh.boundary_vertex)
-        coeffs[dofmap.vertex_dofs[ids]] = np.asarray(
-            field.value(mesh.vertices[ids])
-        )
-
-    if space in (P2, W, ND, PHI):
-        ids, va, vb, lengths, tangents = _edge_data(mesh)
-        if ids.size:
-            rule = get_rule(EDGE, edge_degree)
-            t = rule.points[:, 1]
-            pts = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
-            vals = np.asarray(field.value(pts.reshape(-1, 3)))
-            if space in (P2, W):
-                vals = vals.reshape(ids.size, -1)
-                coeffs[dofmap.edge_dofs[ids, 0]] = (
-                    vals @ rule.weights
-                ) * lengths
-            else:
-                vals = vals.reshape(ids.size, -1, 3)
-                vt = np.einsum("eqk,ek->eq", vals, tangents)
-                ma = vt @ (rule.weights * rule.points[:, 0]) * lengths
-                mb = vt @ (rule.weights * rule.points[:, 1]) * lengths
-                coeffs[dofmap.edge_dofs[ids, 0]] = ma
-                coeffs[dofmap.edge_dofs[ids, 1]] = mb
-
-    if space in (W, PHI, RT):
-        ids, tri, areas, normals = _face_data(mesh)
-        if ids.size:
-            rule = get_rule(TRIANGLE, tri_degree)
-            pts = np.einsum("qi,fij->fqj", rule.points, tri)
-            if space == W:
-                if getattr(field, "gradient", None) is None:
-                    from .elements import CapabilityError
-
-                    raise CapabilityError(
-                        "normal-derivative DoFs need field.gradient"
-                    )
-                g = np.asarray(field.gradient(pts.reshape(-1, 3)))
-                g = g.reshape(ids.size, -1, 3)
-                flux = np.einsum("q,fqk,fk->f", rule.weights, g, normals) * areas
-            else:
-                vals = np.asarray(field.value(pts.reshape(-1, 3)))
-                vals = vals.reshape(ids.size, -1, 3)
-                flux = np.einsum("q,fqk,fk->f", rule.weights, vals, normals) * areas
-            coeffs[dofmap.face_dofs[ids]] = flux
-
+    coeffs[table[keep]] = local[keep]
+    if dofmap.space == Q and zero_mean:
+        coeffs -= (coeffs @ geom.volume) / geom.volume.sum()
     return FeFunction(dofmap, coeffs)
 
 
@@ -186,7 +122,7 @@ def _edge_gradient_rows(mesh, edge_dofs, vertex_dofs, scalar_edge_dofs):
       moment against lambda_a:  -v(a) + (1/L) * int_e v
       moment against lambda_b:  +v(b) - (1/L) * int_e v
     """
-    ids, va, vb, lengths, _ = _edge_data(mesh)
+    ids, lengths = _edge_data(mesh)
     rows, cols, vals = [], [], []
     for which, sign in ((0, -1.0), (1, 1.0)):
         vid = mesh.edges[ids, which]

@@ -358,18 +358,3 @@ def tet_geometry(mesh, tid):
     if tid < 0 or tid >= mesh.num_tets:
         raise IndexError(f"tet id {tid} out of range")
     return mesh_geometry(mesh).take([tid])
-
-
-def write_vtk(mesh, path):
-    """Dump the mesh in legacy VTK ASCII format for visual inspection."""
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("tetrahedral mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.num_vertices} double\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.16g} {v[1]:.16g} {v[2]:.16g}\n")
-        fh.write(f"CELLS {mesh.num_tets} {5 * mesh.num_tets}\n")
-        for t in mesh.tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
-        fh.write(f"CELL_TYPES {mesh.num_tets}\n")
-        fh.write("\n".join(["10"] * mesh.num_tets) + "\n")

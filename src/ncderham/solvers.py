@@ -2,13 +2,13 @@
 
 The generalized Stokes-type stage is a symmetric indefinite block system
 with one extra Lagrange multiplier enforcing the zero mean of the
-piecewise-constant unknown.  Small systems are factored monolithically
-(sparse LU with symmetric diagonal equilibration and iterative
-refinement); larger ones use an exact reduction through the discrete
-complex — one SPD solve for the scalar potential of the curl-free vector
-unknown and one consistent curl-curl solve for the flux — whose result is
-certified against the residual of the full block system.  Both paths stay
-robust as the perturbation parameter approaches zero.
+piecewise-constant unknown.  Every production run solves it by an exact
+reduction through the discrete complex — one SPD solve for the scalar
+potential of the curl-free vector unknown and one consistent curl-curl
+solve for the flux — whose result is certified against the residual of
+the full block system.  A monolithic sparse LU (symmetric diagonal
+equilibration and iterative refinement) remains as a small-mesh oracle.
+Both stay robust as the perturbation parameter approaches zero.
 """
 
 import time
@@ -24,9 +24,6 @@ from .fields import AnalyticField
 from .interpolate import FeFunction, diff_operator_matrix
 
 
-SPD_SOLVERS = ("cg", "direct")
-
-
 class SolverFailure(Exception):
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -37,22 +34,17 @@ class SolverFailure(Exception):
 class SolverConfig:
     eps: float = 1.0
     method: str = "interp"  # "interp" or "nointerp"
-    spd_solver: str = "cg"  # "cg" or "direct"
     spd_tol: float = 1e-12
     spd_maxiter: int = 60000
     saddle_tol: float = 1e-10
-    saddle_mode: str = "auto"  # "direct", "reduced" or "auto"
-    direct_dim_limit: int = 6000
-    load_degree: int = 10
+    saddle_mode: str = "reduced"  # "reduced", or "direct" for the LU oracle
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.spd_solver not in SPD_SOLVERS:
-            raise ValueError(f"unknown SPD solver {self.spd_solver!r}")
-        if self.saddle_mode not in ("direct", "reduced", "auto"):
+        if self.saddle_mode not in ("reduced", "direct"):
             raise ValueError(f"unknown saddle mode {self.saddle_mode!r}")
         for tol in (self.spd_tol, self.saddle_tol):
             if not 0 < tol < 1:
@@ -88,7 +80,8 @@ def _jacobi_cg(matrix, rhs, config, M, atol):
 
     Returns the iterate and the solve's record: ``iterations``, the true
     residual ``||rhs - matrix x||``, the stopping ``target`` and the stop
-    ``reason`` (``converged``, ``maxiter`` or ``zero_rhs``).
+    ``reason``: ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted`` when
+    CG's recursive residual met the target but the true residual did not.
     """
     target = float(max(atol, config.spd_tol * np.linalg.norm(rhs)))
     if not np.any(rhs):
@@ -104,37 +97,34 @@ def _jacobi_cg(matrix, rhs, config, M, atol):
         matrix, rhs, rtol=config.spd_tol, atol=atol,
         maxiter=config.spd_maxiter, M=M, callback=cb,
     )
-    record = {
-        "iterations": count[0],
-        "residual": float(np.linalg.norm(rhs - matrix @ x)),
-        "target": target,
-        "reason": "converged" if info == 0 else "maxiter",
-    }
+    residual = float(np.linalg.norm(rhs - matrix @ x))
+    if info != 0:
+        reason = "maxiter"
+    elif residual > target:
+        reason = "drifted"
+    else:
+        reason = "converged"
+    record = {"iterations": count[0], "residual": residual, "target": target,
+              "reason": reason}
     return x, record
 
 
 def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0):
-    """Solve an SPD system by Jacobi-preconditioned CG (or sparse LU).
+    """Solve an SPD system by Jacobi-preconditioned CG.
 
     CG stops once the residual norm falls below ``max(atol, spd_tol *
     ||rhs||)``.  ``stats``, when given a dict, receives the solve's record
-    (see ``_jacobi_cg``; a sparse-LU solve has reason ``direct`` and no
-    target).
+    (see ``_jacobi_cg``).  A solve stopped at ``spd_maxiter`` raises; a
+    drifted one does not.
     """
     config = config or SolverConfig()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
-    if config.spd_solver == "direct":
-        x = spla.splu(matrix.tocsc()).solve(rhs) if np.any(rhs) else np.zeros_like(rhs)
-        record = {"iterations": 0,
-                  "residual": float(np.linalg.norm(rhs - matrix @ x)),
-                  "target": None, "reason": "direct"}
-    else:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0):
-            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-        x, record = _jacobi_cg(matrix, rhs, config, sp.diags(1.0 / diag), atol)
+    diag = matrix.diagonal()
+    if np.any(diag <= 0):
+        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+    x, record = _jacobi_cg(matrix, rhs, config, sp.diags(1.0 / diag), atol)
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
@@ -166,28 +156,18 @@ def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, reduction=None):
     where e holds the cell measures (zero-mean constraint on lam).
     Returns (phi, lam, p, nu, info).
 
-    Two mechanisms are available.  ``direct`` factors the assembled block
-    matrix (sparse LU with symmetric equilibration and iterative
-    refinement); it is robust but its fill grows prohibitively on larger
-    3D meshes.  ``reduced`` exploits the exactness of the discrete complex
-    (the kernel of the coupling is the gradient range): it solves one SPD
-    system for the curl-free part and one consistent semidefinite system
-    for the flux, then certifies the candidate by measuring the residual
-    of the full block system, so correctness never rests on the reduction
-    argument alone.  ``auto`` picks ``direct`` below ``direct_dim_limit``
-    unknowns and ``reduced`` above (when reduction operators are given).
+    ``reduced``, the production route, exploits the exactness of the
+    discrete complex (the kernel of the coupling is the gradient range): it
+    solves one SPD system for the curl-free part and one consistent
+    semidefinite system for the flux, then certifies the candidate by
+    measuring the residual of the full block system, so correctness never
+    rests on the reduction argument alone.  ``direct`` factors the
+    assembled block matrix (sparse LU with symmetric equilibration and
+    iterative refinement); its fill grows prohibitively on larger 3D
+    meshes, so it serves only as a small-mesh oracle.
     """
     config = config or SolverConfig()
-    nphi, nrt = C.shape
-    nq = D.shape[0]
-    mode = config.saddle_mode
-    if mode == "auto":
-        dim = nphi + nq + nrt + 1
-        if reduction is not None and dim > config.direct_dim_limit:
-            mode = "reduced"
-        else:
-            mode = "direct"
-    if mode == "reduced":
+    if config.saddle_mode == "reduced":
         if reduction is None:
             raise SolverFailure("reduced saddle mode needs reduction operators")
         return _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, reduction)
@@ -387,9 +367,7 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     forms = forms if forms is not None else {}
 
     S = _level_matrix("poisson_p2", mesh, dofmaps, forms)
-    b_f = asm.assemble_load(
-        "f_vs_p2", mesh, dofmaps, f_field, quad_degree=config.load_degree
-    )
+    b_f = asm.assemble_load("f_vs_p2", mesh, dofmaps, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
     try:

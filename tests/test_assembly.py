@@ -205,11 +205,3 @@ def test_class_deduplication_matches_direct_path(mesh2, maps2):
     finally:
         geom.rep_geometry = saved
     assert abs(fast - direct).max() < 1e-13 * abs(direct).max()
-
-
-def test_matrix_market_export(tmp_path, mesh1):
-    maps = {s: asm.build_dof_map(s, mesh1) for s in (P2, ND, RT, Q, PHI, W)}
-    form = asm.assemble_bilinear("poisson_p2", mesh1, maps)
-    path = tmp_path / "mat.mtx"
-    asm.export_matrix_market(form, str(path))
-    assert path.read_text().startswith("%%MatrixMarket")

@@ -59,6 +59,8 @@ def test_run_study_writes_outputs(tmp_path):
     # each row carries its inner solves' summary, without timings
     stages = [r["stage"] for r in data[1]["krylov"]]
     assert stages[0] == "poisson_w" and stages[-1] == "poisson_u"
+    # the reduced saddle route served the row
+    assert {"potential", "projection", "flux"} <= set(stages)
     for record in data[1]["krylov"]:
         assert set(record) == {"stage", "sweep", "iterations", "reason"}
 

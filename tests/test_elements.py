@@ -98,7 +98,7 @@ def test_phi_enrichment_value_at_barycenter():
     mesh = single_tet_mesh(REF_VERTS)
     geom = mesh_geometry(mesh)
     g = tet_geometry(mesh, 0)
-    vals = el.eval_shape_basis(el.PHI_NC, g, [0.25, 0.25, 0.25, 0.25])
+    vals = el.shape_values(el.PHI_NC, g, np.full((1, 4), 0.25))[0, 0]
     # grad(b_T lambda_0) at the barycenter equals grad(lambda_0)/256
     assert np.abs(vals[12] - g.grad_lambda[0, 0] / 256.0).max() < 1e-14
 
@@ -106,9 +106,9 @@ def test_phi_enrichment_value_at_barycenter():
 def test_p0_basis_and_scalar_curl_error():
     mesh = single_tet_mesh(REF_VERTS)
     g = tet_geometry(mesh, 0)
-    assert el.eval_shape_basis(el.P0, g, [0.4, 0.3, 0.2, 0.1])[0] == 1.0
+    assert el.shape_values(el.P0, g, np.array([[0.4, 0.3, 0.2, 0.1]]))[0, 0, 0] == 1.0
     with pytest.raises(el.CapabilityError):
-        el.eval_shape_basis(el.W_NC, g, [0.25, 0.25, 0.25, 0.25], what="curls")
+        el.shape_curls(el.W_NC, g)
 
 
 def test_phi_curls_constant_and_consistent():

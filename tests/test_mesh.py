@@ -8,7 +8,6 @@ from ncderham.mesh import (
     build_unit_cube_mesh,
     mesh_geometry,
     tet_geometry,
-    write_vtk,
 )
 
 
@@ -110,13 +109,3 @@ def test_nonmanifold_face_raises():
 def test_invalid_n():
     with pytest.raises(ValueError):
         build_unit_cube_mesh(0)
-
-
-def test_vtk_dump(tmp_path):
-    mesh = build_unit_cube_mesh(1)
-    path = tmp_path / "mesh.vtk"
-    write_vtk(mesh, path)
-    text = path.read_text()
-    assert text.startswith("# vtk DataFile")
-    assert "POINTS 8 double" in text
-    assert text.count("\n10") >= 5

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ncderham import assembly as asm
+from ncderham import solvers
 from ncderham.assembly import ND, PHI, W
 from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
@@ -38,6 +39,16 @@ def vector_form(mesh, maps, eps, mass="ind_mass"):
     return (eps**2) * stiff + asm.assemble_bilinear(mass, mesh, maps).matrix
 
 
+def reduction_operators(mesh, maps):
+    """The exact operators the production (reduced) saddle route needs."""
+    return ReductionOperators(
+        grad=diff_operator_matrix("grad", maps).matrix,
+        curl_nd=diff_operator_matrix("curl_nd", maps).matrix,
+        grad_nd=diff_operator_matrix("grad_nd", maps).matrix,
+        rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=-1.0)
@@ -46,7 +57,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(spd_tol=2.0)
     with pytest.raises(ValueError):
-        SolverConfig(spd_solver="LU")
+        SolverConfig(saddle_mode="auto")
 
 
 def test_solve_spd_identity_and_tridiagonal():
@@ -59,8 +70,6 @@ def test_solve_spd_identity_and_tridiagonal():
     )
     x = solve_spd(T, np.ones(3), cfg)
     assert np.allclose(x, [1.5, 2.0, 1.5], atol=1e-10)
-    xd = solve_spd(T, np.ones(3), SolverConfig(spd_solver="direct"))
-    assert np.allclose(xd, [1.5, 2.0, 1.5], atol=1e-12)
     stats = {}
     solve_spd(T, np.ones(3), cfg, stats=stats)
     assert stats["iterations"] >= 1
@@ -88,6 +97,26 @@ def test_solve_spd_failure_reports_history():
     assert len(exc.value.residuals) >= 1
 
 
+def test_solve_spd_records_a_drifted_true_residual(monkeypatch):
+    """CG that reports convergence on its recursive residual while the true
+    residual misses the target is recorded as drifted, and not raised."""
+    cg = solvers.spla.cg
+
+    def perturbed_cg(*args, **kwargs):
+        x, _ = cg(*args, **kwargs)
+        return x + 1e-3, 0
+
+    monkeypatch.setattr(solvers.spla, "cg", perturbed_cg)
+    T = sp.csr_matrix(
+        np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    )
+    stats = {}
+    x = solve_spd(T, np.ones(3), SolverConfig(), stats=stats)
+    assert np.allclose(x, [1.5 + 1e-3, 2.0 + 1e-3, 1.5 + 1e-3])
+    assert stats["reason"] == "drifted"
+    assert stats["residual"] > stats["target"]
+
+
 def test_saddle_zero_rhs(setup2):
     mesh, maps = setup2
     cfg = SolverConfig(eps=0.5)
@@ -95,7 +124,11 @@ def test_saddle_zero_rhs(setup2):
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     vols = asm.q_weights(mesh)
-    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, np.zeros(maps[PHI].dim), cfg)
+    phi, lam, p, nu, info = solve_saddle(
+        A, C, D, vols, np.zeros(maps[PHI].dim), cfg,
+        reduction=reduction_operators(mesh, maps),
+    )
+    assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
     assert np.abs(p).max() == 0.0
@@ -116,7 +149,10 @@ def test_saddle_manufactured_curl_free(setup2):
     grad = diff_operator_matrix("grad", maps).matrix
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs_phi, cfg)
+    phi, lam, p, nu, info = solve_saddle(
+        A, C, D, vols, rhs_phi, cfg, reduction=reduction_operators(mesh, maps)
+    )
+    assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
     assert np.abs(lam).max() <= 1e-8 * scale
@@ -133,7 +169,10 @@ def test_saddle_tiny_eps_robustness(setup2):
     vols = asm.q_weights(mesh)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs, cfg)
+    phi, lam, p, nu, info = solve_saddle(
+        A, C, D, vols, rhs, cfg, reduction=reduction_operators(mesh, maps)
+    )
+    assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
 
@@ -164,16 +203,8 @@ def test_decoupled_identities_nointerp(setup2):
 
 def test_reduced_mode_matches_direct(setup2):
     """The complex-based reduction reproduces the monolithic factorization."""
-    from ncderham.interpolate import diff_operator_matrix
-    from ncderham.solvers import ReductionOperators
-
     mesh, maps = setup2
-    red = ReductionOperators(
-        grad=diff_operator_matrix("grad", maps).matrix,
-        curl_nd=diff_operator_matrix("curl_nd", maps).matrix,
-        grad_nd=diff_operator_matrix("grad_nd", maps).matrix,
-        rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
-    )
+    red = reduction_operators(mesh, maps)
     rng = np.random.default_rng(7)
     for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
         A = vector_form(mesh, maps, eps, mass)
@@ -259,12 +290,7 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     """A flux solve that hits maxiter is not judged by a floor of its own:
     the refinement and the certificate decide, and the failure names it."""
     mesh, maps = setup2
-    red = ReductionOperators(
-        grad=diff_operator_matrix("grad", maps).matrix,
-        curl_nd=diff_operator_matrix("curl_nd", maps).matrix,
-        grad_nd=diff_operator_matrix("grad_nd", maps).matrix,
-        rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
-    )
+    red = reduction_operators(mesh, maps)
     A = vector_form(mesh, maps, 0.6)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
