@@ -85,6 +85,15 @@ class StudyConfig:
                 f"quad_degree must lie in [0, {MAX_DEGREE[TET]}], "
                 f"got {self.quad_degree}"
             )
+        try:
+            SolverConfig(spd_tol=self.spd_tol, saddle_tol=self.saddle_tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        levels = self.verify_levels
+        if not levels or not all(isinstance(n, int) and n >= 1 for n in levels):
+            raise ConfigError(f"verify_levels must be positive integers, got {levels!r}")
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         return self
 
 

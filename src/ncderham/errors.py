@@ -22,7 +22,6 @@ _ERROR_KINDS = {
     "broken_h1semi_vector": (fe_gradients, "jacobian"),
     "l2_vs_ind": (fe_values, "value"),
 }
-ERROR_KINDS = tuple(_ERROR_KINDS)
 
 
 class ErrorCapability(Exception):

@@ -1,9 +1,13 @@
-"""Closed-form data for the two convergence experiments, with a
-finite-difference oracle that cross-checks every provided derivative."""
+"""Closed-form data for the two convergence experiments, built as products
+of 1-D factors, with a finite-difference oracle that cross-checks every
+provided derivative."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 
 @dataclass
@@ -25,129 +29,158 @@ class AnalyticField:
     jacobian: callable = None
 
 
-def _sin2_parts(t):
-    """sin^2(pi t) and its first four derivatives."""
+# A 1-D factor maps ``(t, orders)``, with ``orders`` a set of derivative
+# orders, to ``{k: f^(k)(t) for k in orders}``; each transcendental it needs
+# is evaluated once per call.
+
+
+def sin2_factor(t, orders):
+    """sin^2(pi t) and its derivatives up to order 4."""
     pi = np.pi
-    s = np.sin(pi * t) ** 2
-    d1 = pi * np.sin(2 * pi * t)
-    d2 = 2 * pi**2 * np.cos(2 * pi * t)
-    d3 = -4 * pi**3 * np.sin(2 * pi * t)
-    d4 = -8 * pi**4 * np.cos(2 * pi * t)
-    return s, d1, d2, d3, d4
+    s = np.sin(2 * pi * t) if orders & {1, 3} else None
+    c = np.cos(2 * pi * t) if orders & {2, 4} else None
+    derivatives = {
+        0: lambda: np.sin(pi * t) ** 2, 1: lambda: pi * s, 2: lambda: 2 * pi**2 * c,
+        3: lambda: -4 * pi**3 * s, 4: lambda: -8 * pi**4 * c,
+    }
+    return {k: derivatives[k]() for k in orders}
+
+
+def sin_factor(t, orders):
+    """sin(pi t) and its derivatives up to order 4."""
+    pi = np.pi
+    s = np.sin(pi * t) if orders & {0, 2, 4} else None
+    c = np.cos(pi * t) if orders & {1, 3} else None
+    derivatives = {
+        0: lambda: s, 1: lambda: pi * c, 2: lambda: -(pi**2) * s,
+        3: lambda: -(pi**3) * c, 4: lambda: pi**4 * s,
+    }
+    return {k: derivatives[k]() for k in orders}
+
+
+def polynomial_factor(coef):
+    """Factor of the polynomial with coefficients ``coef``, lowest first."""
+    def factor(t, orders):
+        return {k: P.polyval(t, P.polyder(coef, k)) for k in orders}
+
+    return factor
+
+
+def _index(*axes):
+    """Multi-index that differentiates once along each listed axis."""
+    return tuple(axes.count(a) for a in range(3))
+
+
+def _table(factors, X, orders):
+    """table[a][k] = k-th derivative of the a-th factor at x_a."""
+    return [factor(X[:, a], orders) for a, factor in enumerate(factors)]
+
+
+def _term(table, alpha):
+    return table[0][alpha[0]] * table[1][alpha[1]] * table[2][alpha[2]]
+
+
+def _laplacian(table):
+    return reduce(add, (_term(table, _index(a, a)) for a in range(3)))
+
+
+def _bilaplacian(table):
+    # Lap^2 = sum_a d_a^4 + 2 sum_{a<b} d_a^2 d_b^2
+    quartic = reduce(add, (_term(table, _index(a, a, a, a)) for a in range(3)))
+    pairs = ((0, 1), (0, 2), (1, 2))
+    mixed = reduce(add, (_term(table, _index(a, a, b, b)) for a, b in pairs))
+    return quartic + 2 * mixed
+
+
+def product_field(tag, factors):
+    """Scalar field ``prod_a factors[a](x_a)``; each derivative is a sum of
+    products over multi-indices, and each call asks every factor only for
+    the orders it needs."""
+    def value(X):
+        return _term(_table(factors, X, {0}), (0, 0, 0))
+
+    def gradient(X):
+        table = _table(factors, X, {0, 1})
+        out = np.empty((X.shape[0], 3))
+        for a in range(3):
+            out[:, a] = _term(table, _index(a))
+        return out
+
+    def hessian(X):
+        table = _table(factors, X, {0, 1, 2})
+        H = np.empty((X.shape[0], 3, 3))
+        for a in range(3):
+            for b in range(a, 3):
+                H[:, a, b] = H[:, b, a] = _term(table, _index(a, b))
+        return H
+
+    def laplacian(X):
+        return _laplacian(_table(factors, X, {0, 2}))
+
+    def bilaplacian(X):
+        return _bilaplacian(_table(factors, X, {0, 2, 4}))
+
+    return AnalyticField(tag, 1, value, gradient, hessian, laplacian, bilaplacian)
+
+
+def gradient_field(u):
+    """grad u as a vector field whose Jacobian is the Hessian of u."""
+    return AnalyticField("grad_" + u.tag, 3, u.gradient, jacobian=u.hessian)
+
+
+def vector_field(u, c):
+    """The vector field c * u for a constant vector c."""
+    c = np.asarray(c, dtype=float)
+
+    def value(X):
+        return u.value(X)[:, None] * c
+
+    def jacobian(X):
+        return c[None, :, None] * u.gradient(X)[:, None, :]
+
+    return AnalyticField(f"{u.tag}_vec", 3, value, jacobian=jacobian)
+
+
+def curl_field(v):
+    """curl of a vector field that has a Jacobian."""
+    def curl(X):
+        J = v.jacobian(X)
+        return np.stack(
+            [J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0], J[:, 1, 0] - J[:, 0, 1]],
+            axis=1,
+        )
+
+    return AnalyticField("curl_" + v.tag, 3, curl)
 
 
 def smooth_case_fields(eps):
     """Exact data for the clamped test without boundary layer.
 
-    u = sin^2(pi x) sin^2(pi y) sin^2(pi z); the source is
-    eps^2 * Lap^2 u - Lap u, derived analytically.  Both u and its normal
-    derivative vanish on the boundary of the unit cube.
+    u = sin^2(pi x) sin^2(pi y) sin^2(pi z) and f = eps^2 Lap^2 u - Lap u.
+    Both u and its normal derivative vanish on the boundary of the unit cube.
     """
-    def parts(X):
-        return [_sin2_parts(X[:, k]) for k in range(3)]
-
-    def value(X):
-        p = parts(X)
-        return p[0][0] * p[1][0] * p[2][0]
-
-    def gradient(X):
-        p = parts(X)
-        return np.stack(
-            [
-                p[0][1] * p[1][0] * p[2][0],
-                p[0][0] * p[1][1] * p[2][0],
-                p[0][0] * p[1][0] * p[2][1],
-            ],
-            axis=1,
-        )
-
-    def hessian(X):
-        p = parts(X)
-        H = np.empty((X.shape[0], 3, 3))
-        for a in range(3):
-            for b in range(3):
-                fac = [p[k][0] for k in range(3)]
-                if a == b:
-                    fac[a] = p[a][2]
-                else:
-                    fac[a] = p[a][1]
-                    fac[b] = p[b][1]
-                H[:, a, b] = fac[0] * fac[1] * fac[2]
-        return H
-
-    def laplacian(X):
-        p = parts(X)
-        return (
-            p[0][2] * p[1][0] * p[2][0]
-            + p[0][0] * p[1][2] * p[2][0]
-            + p[0][0] * p[1][0] * p[2][2]
-        )
-
-    def bilaplacian(X):
-        p = parts(X)
-        s = [p[k][0] for k in range(3)]
-        d2 = [p[k][2] for k in range(3)]
-        d4 = [p[k][4] for k in range(3)]
-        return (
-            d4[0] * s[1] * s[2]
-            + s[0] * d4[1] * s[2]
-            + s[0] * s[1] * d4[2]
-            + 2 * (d2[0] * d2[1] * s[2] + d2[0] * s[1] * d2[2] + s[0] * d2[1] * d2[2])
-        )
+    factors = (sin2_factor,) * 3
+    u = product_field("u_smooth", factors)
 
     def source(X):
-        return eps**2 * bilaplacian(X) - laplacian(X)
+        table = _table(factors, X, {0, 2, 4})
+        return eps**2 * _bilaplacian(table) - _laplacian(table)
 
-    u = AnalyticField(
-        "u_smooth", 1, value, gradient, hessian, laplacian, bilaplacian
-    )
-    phi = AnalyticField("grad_u_smooth", 3, gradient, jacobian=hessian)
     f = AnalyticField(f"f_smooth_eps{eps:g}", 1, source)
-    return {"u": u, "phi": phi, "f": f, "eps": eps}
+    return {"u": u, "phi": gradient_field(u), "f": f}
 
 
 def layer_case_fields():
     """Data for the boundary-layer test: the limit solution of the Poisson
-    problem, u0 = sin(pi x) sin(pi y) sin(pi z), with f = -Lap u0."""
-    pi = np.pi
-
-    def trig(X):
-        return np.sin(pi * X[:, 0]), np.sin(pi * X[:, 1]), np.sin(pi * X[:, 2])
-
-    def cotrig(X):
-        return np.cos(pi * X[:, 0]), np.cos(pi * X[:, 1]), np.cos(pi * X[:, 2])
-
-    def value(X):
-        sx, sy, sz = trig(X)
-        return sx * sy * sz
-
-    def gradient(X):
-        sx, sy, sz = trig(X)
-        cx, cy, cz = cotrig(X)
-        return pi * np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz], axis=1)
-
-    def hessian(X):
-        sx, sy, sz = trig(X)
-        cx, cy, cz = cotrig(X)
-        H = np.empty((X.shape[0], 3, 3))
-        H[:, 0, 0] = -(pi**2) * sx * sy * sz
-        H[:, 1, 1] = -(pi**2) * sx * sy * sz
-        H[:, 2, 2] = -(pi**2) * sx * sy * sz
-        H[:, 0, 1] = H[:, 1, 0] = pi**2 * cx * cy * sz
-        H[:, 0, 2] = H[:, 2, 0] = pi**2 * cx * sy * cz
-        H[:, 1, 2] = H[:, 2, 1] = pi**2 * sx * cy * cz
-        return H
-
-    def laplacian(X):
-        return -3 * pi**2 * value(X)
+    problem, u0 = sin(pi x) sin(pi y) sin(pi z), with f = -Lap u0, which
+    is 3 pi^2 u0 because u0 is a Laplacian eigenfunction."""
+    u0 = product_field("u0_layer", (sin_factor,) * 3)
 
     def source(X):
-        return 3 * pi**2 * value(X)
+        return 3 * np.pi**2 * u0.value(X)
 
-    u0 = AnalyticField("u0_layer", 1, value, gradient, hessian, laplacian)
-    phi0 = AnalyticField("grad_u0_layer", 3, gradient, jacobian=hessian)
     f = AnalyticField("f_layer", 1, source)
-    return {"u0": u0, "phi0": phi0, "f": f}
+    return {"u0": u0, "phi0": gradient_field(u0), "f": f}
 
 
 def _sample_points(npoints, rng, margin=0.05):

@@ -3,6 +3,7 @@ complex: composition-zero and rank identities, commuting interpolation,
 weak continuity across faces, unisolvence, an optional inf-sup constant,
 and the algebraic identities of solved systems."""
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -11,6 +12,8 @@ import scipy.linalg
 
 from . import assembly as asm
 from . import elements as el
+from . import fields as fl
+from . import interpolate as itp
 from .assembly import ND, PHI, Q, RT, W
 from .interpolate import FeFunction, diff_operator_matrix, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
@@ -163,75 +166,15 @@ def check_complex(mesh, report=None, rank_tol=1e-8):
     return report
 
 
-def _monomial_field(alpha, arity, comp=0):
-    """Global polynomial x^a y^b z^c (times a unit vector for arity 3)."""
-    alpha = np.asarray(alpha)
-
-    def scalar(X):
-        return np.prod(X**alpha, axis=1)
-
-    def gradient(X):
-        out = np.zeros((X.shape[0], 3))
-        for k in range(3):
-            if alpha[k] == 0:
-                continue
-            am = alpha.copy()
-            am[k] -= 1
-            out[:, k] = alpha[k] * np.prod(X**am, axis=1)
-        return out
-
-    if arity == 1:
-        from .fields import AnalyticField
-
-        return AnalyticField("mono", 1, scalar, gradient=gradient)
-
-    def vec(X):
-        out = np.zeros((X.shape[0], 3))
-        out[:, comp] = scalar(X)
-        return out
-
-    def jac(X):
-        out = np.zeros((X.shape[0], 3, 3))
-        out[:, comp, :] = gradient(X)
-        return out
-
-    from .fields import AnalyticField
-
-    return AnalyticField("mono_vec", 3, vec, jacobian=jac)
-
-
-def _vector_curl_field(field):
-    """curl of a vector AnalyticField with a jacobian."""
-    from .fields import AnalyticField
-
-    def curl(X):
-        J = field.jacobian(X)
-        return np.stack(
-            [
-                J[:, 2, 1] - J[:, 1, 2],
-                J[:, 0, 2] - J[:, 2, 0],
-                J[:, 1, 0] - J[:, 0, 1],
-            ],
-            axis=1,
-        )
-
-    return AnalyticField("curl_of_" + field.tag, 3, curl)
-
-
-def _gradient_field(field):
-    from .fields import AnalyticField
-
-    return AnalyticField("grad_of_" + field.tag, 3, field.gradient)
+def _monomial(alpha):
+    """Global polynomial x^a y^b z^c for alpha = (a, b, c)."""
+    return fl.product_field(
+        "mono", [fl.polynomial_factor([0] * a + [1]) for a in alpha]
+    )
 
 
 def _p3_alphas():
-    return [
-        (a, b, c)
-        for a in range(4)
-        for b in range(4)
-        for c in range(4)
-        if a + b + c <= 3
-    ]
+    return [alpha for alpha in itertools.product(range(4), repeat=3) if sum(alpha) <= 3]
 
 
 def check_commuting(mesh, report=None, tol=1e-10):
@@ -264,10 +207,10 @@ def check_commuting(mesh, report=None, tol=1e-10):
 
     worst_grad = 0.0
     for alpha in _p3_alphas():
-        fld = _monomial_field(alpha, 1)
+        fld = _monomial(alpha)
         wdofs = el.apply_dofs(el.W_NC, geom, fld)
         lhs = np.einsum("tij,tjk,tk->ti", B, Cw, wdofs)
-        rhs = el.apply_dofs(el.PHI_NC, geom, _gradient_field(fld))
+        rhs = el.apply_dofs(el.PHI_NC, geom, fl.gradient_field(fld))
         scale = max(np.abs(rhs).max(), 1.0)
         worst_grad = max(worst_grad, float(np.abs(lhs - rhs).max() / scale))
     report.add(
@@ -284,10 +227,10 @@ def check_commuting(mesh, report=None, tol=1e-10):
     worst_ind = 0.0
     for alpha in _p3_alphas():
         for comp in range(3):
-            fld = _monomial_field(alpha, 3, comp)
+            fld = fl.vector_field(_monomial(alpha), np.eye(3)[comp])
             pdofs = el.apply_dofs(el.PHI_NC, geom, fld)
             lhs = np.einsum("tfi,tij,tj->tf", K, Cphi, pdofs)
-            rhs = el.apply_dofs(el.RT0, geom, _vector_curl_field(fld))
+            rhs = el.apply_dofs(el.RT0, geom, fl.curl_field(fld))
             scale = max(np.abs(rhs).max(), 1.0)
             worst_curl = max(worst_curl, float(np.abs(lhs - rhs).max() / scale))
             nddofs = el.apply_dofs(el.NEDELEC2, geom, fld)
@@ -310,68 +253,21 @@ def check_commuting(mesh, report=None, tol=1e-10):
 def _bubble_compatible_fields():
     """Boundary-compatible polynomial test fields on the unit cube.
 
-    The scalar field and the face integrals of its normal derivative vanish
-    on the boundary; the vector field vanishes on the boundary.  Degrees
-    stay within the exactness of the interpolation quadratures.
+    The scalar prod_a x_a (1 - x_a)(x_a - 1/2) and the face integrals of
+    its normal derivative vanish on the boundary; the vector field, a
+    constant vector times prod_a x_a (1 - x_a), vanishes on the boundary.
+    Degrees stay within the exactness of the interpolation quadratures.
     """
-    from .fields import AnalyticField
-
-    def b(X):
-        return np.prod(X * (1.0 - X), axis=1)
-
-    def db(X):
-        out = np.empty_like(X)
-        for k in range(3):
-            others = [i for i in range(3) if i != k]
-            out[:, k] = (1.0 - 2.0 * X[:, k]) * np.prod(
-                X[:, others] * (1.0 - X[:, others]), axis=1
-            )
-        return out
-
-    def m(X):
-        return np.prod(X - 0.5, axis=1)
-
-    def dm(X):
-        out = np.empty_like(X)
-        out[:, 0] = (X[:, 1] - 0.5) * (X[:, 2] - 0.5)
-        out[:, 1] = (X[:, 0] - 0.5) * (X[:, 2] - 0.5)
-        out[:, 2] = (X[:, 0] - 0.5) * (X[:, 1] - 0.5)
-        return out
-
-    def scalar_value(X):
-        return b(X) * m(X)
-
-    def scalar_gradient(X):
-        return db(X) * m(X)[:, None] + b(X)[:, None] * dm(X)
-
-    scalar = AnalyticField("bubble_scalar", 1, scalar_value, gradient=scalar_gradient)
-    grad_field = AnalyticField("bubble_gradient", 3, scalar_gradient)
-
-    c = np.array([0.3, -0.7, 0.55])
-
-    def vec_value(X):
-        return b(X)[:, None] * c
-
-    def vec_jacobian(X):
-        return c[None, :, None] * db(X)[:, None, :]
-
-    vec = AnalyticField("bubble_vector", 3, vec_value, jacobian=vec_jacobian)
-
-    def curl_value(X):
-        J = vec_jacobian(X)
-        return np.stack(
-            [J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0], J[:, 1, 0] - J[:, 0, 1]],
-            axis=1,
-        )
-
-    curl = AnalyticField("bubble_vector_curl", 3, curl_value)
-    return scalar, grad_field, vec, curl
+    scalar = fl.product_field(
+        "bubble_scalar", [fl.polynomial_factor([0, -0.5, 1.5, -1])] * 3
+    )
+    bubble = fl.product_field("bubble", [fl.polynomial_factor([0, 1, -1])] * 3)
+    vec = fl.vector_field(bubble, [0.3, -0.7, 0.55])
+    return scalar, fl.gradient_field(scalar), vec, fl.curl_field(vec)
 
 
 def _check_commuting_global(mesh, report, tol):
     """Global interior-DoF identities for boundary-compatible fields."""
-    from . import interpolate as itp
-
     dofmaps = build_spaces(mesh)
     scalar, grad_field, vec, curl = _bubble_compatible_fields()
 

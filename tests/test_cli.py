@@ -33,7 +33,8 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--epsilon", "abc"]) == 2
     for fields in (
         {"spd_solver": "LU"}, {"load_degree": 13}, {"quad_degree": "8"},
-        {"epsilons": 1e-4},
+        {"epsilons": 1e-4}, {"spd_tol": 0}, {"saddle_tol": 2},
+        {"verify": True, "verify_levels": [0]}, {"verify": True, "seed": "x"},
     ):
         cfg = tmp_path / "invalid.json"
         cfg.write_text(json.dumps(fields))

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ncderham import fields
 from ncderham.fields import (
     AnalyticField,
     fd_source_residual,
@@ -8,6 +11,7 @@ from ncderham.fields import (
     layer_case_fields,
     smooth_case_fields,
 )
+from ncderham.verify import _bubble_compatible_fields, _monomial
 
 
 def test_smooth_case_point_values():
@@ -53,6 +57,7 @@ def test_fd_validate_layer_laplacian_identity():
     data = layer_case_fields()
     rep = fd_validate(data["u0"])
     assert rep["passed"], rep
+    assert "bilaplacian" in rep["checks"]
     # analytic identity: Lap u0 = -3 pi^2 u0
     X = np.random.default_rng(5).random((30, 3))
     assert np.allclose(
@@ -77,3 +82,58 @@ def test_fd_oracle_detects_corruption():
     rep = fd_validate(bad)
     assert not rep["passed"]
     assert not rep["checks"]["gradient"]["passed"]
+
+
+def test_fd_validate_polynomial_product_fields():
+    scalar, grad, vec, _ = _bubble_compatible_fields()
+    for fld in (scalar, grad, vec):
+        rep = fd_validate(fld)
+        assert rep["passed"], rep
+    # x^2 y: the bilaplacian of a cubic vanishes identically, so a relative
+    # finite-difference check of it would weigh roundoff alone
+    mono = _monomial((2, 1, 0))
+    X = np.random.default_rng(2).random((30, 3))
+    assert np.all(mono.bilaplacian(X) == 0.0)
+    rep = fd_validate(dataclasses.replace(mono, bilaplacian=None))
+    assert rep["passed"] and len(rep["checks"]) == 3, rep
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-4])
+def test_smooth_source_is_eps2_bilaplacian_minus_laplacian(eps):
+    data = smooth_case_fields(eps)
+    u = data["u"]
+    X = np.random.default_rng(3).random((200, 3))
+    expect = eps**2 * u.bilaplacian(X) - u.laplacian(X)
+    assert np.allclose(data["f"].value(X), expect, rtol=1e-13, atol=0.0)
+
+
+def test_layer_source_is_minus_laplacian():
+    data = layer_case_fields()
+    X = np.random.default_rng(4).random((200, 3))
+    expect = -data["u0"].laplacian(X)
+    assert np.allclose(data["f"].value(X), expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "factor, build",
+    [("sin2_factor", lambda: smooth_case_fields(0.5)), ("sin_factor", layer_case_fields)],
+)
+def test_each_factor_is_evaluated_once_per_axis(monkeypatch, factor, build):
+    calls = []
+    inner = getattr(fields, factor)
+
+    def counted(t, orders):
+        calls.append(orders)
+        return inner(t, orders)
+
+    monkeypatch.setattr(fields, factor, counted)
+    data = build()
+    X = np.random.default_rng(6).random((10, 3))
+    for fld in data.values():
+        for attr in ("value", "gradient", "hessian", "laplacian", "bilaplacian", "jacobian"):
+            fn = getattr(fld, attr)
+            if fn is None:
+                continue
+            calls.clear()
+            fn(X)
+            assert len(calls) == 3, (fld.tag, attr, calls)
