@@ -302,6 +302,15 @@ _LOAD_DEGREE = {
     "phi_vs_gradp2": 5,
 }
 
+# test basis of each load: element kind and whether its gradients are used
+_LOAD_TEST = {
+    "f_vs_p2": (el.LAGRANGE_P2, False),
+    "gradw_vs_indphi": (el.NEDELEC2, False),
+    "indphi_vs_gradp2": (el.LAGRANGE_P2, True),
+    "gradw_vs_phi": (el.PHI_NC, False),
+    "phi_vs_gradp2": (el.LAGRANGE_P2, True),
+}
+
 
 def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
     """Assemble a load vector.
@@ -337,25 +346,34 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
         data = nd_interpolant(data, build_dof_map(ND, mesh))
 
     geom = mesh_geometry(mesh)
+    test, gradients = _LOAD_TEST[kind]
+    if geom.rep_geometry is not None:
+        # weighted test basis per class, (nc, P * value size, nd): one GEMM
+        # per class contracts the data values against it
+        basis = el.class_table(test, geom.rep_geometry, pts, gradients)
+        nc, nd = basis.shape[:2]
+        weighted = basis.reshape(nc, nd, w.size, -1) * w[:, None]
+        weighted = np.ascontiguousarray(weighted.reshape(nc, nd, -1).transpose(0, 2, 1))
     out = np.zeros(target.dim)
     nT = mesh.num_tets
     for lo in range(0, nT, chunk):
         tids = np.arange(lo, min(lo + chunk, nT))
-        g = geom.take(tids)
         if kind == "f_vs_p2":
-            phys = np.einsum("qi,tij->tqj", pts, g.vertices)
-            fvals = np.asarray(data.value(phys.reshape(-1, 3))).reshape(phys.shape[:2])
-            basis = el.nodal_values(el.LAGRANGE_P2, g, pts)
-            local = np.einsum("q,tq,tqi->ti", w, fvals, basis) * g.volume[:, None]
+            phys = np.matmul(pts, geom.vertices[tids])
+            vals = np.asarray(data.value(phys.reshape(-1, 3))).reshape(phys.shape[:2])
+        elif kind in ("gradw_vs_indphi", "gradw_vs_phi"):
+            vals = fe_gradients(data, pts, tids)
         else:
-            if kind in ("gradw_vs_indphi", "gradw_vs_phi"):
-                vals = fe_gradients(data, pts, tids)
-                test = el.NEDELEC2 if kind == "gradw_vs_indphi" else el.PHI_NC
-                basis = el.nodal_values(test, g, pts)
-            else:
-                vals = fe_values(data, pts, tids)
-                basis = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
-            local = np.einsum("q,tqa,tqia->ti", w, vals, basis) * g.volume[:, None]
+            vals = fe_values(data, pts, tids)
+        if geom.rep_geometry is not None:
+            flat = vals.reshape(tids.size, -1)
+            local = el.class_matmul(geom.classes[tids], flat, weighted)
+        else:
+            evaluate = el.nodal_gradients if gradients else el.nodal_values
+            basis = evaluate(test, geom.take(tids), pts)
+            spec = "q,tq,tqi->ti" if vals.ndim == 2 else "q,tqa,tqia->ti"
+            local = np.einsum(spec, w, vals, basis)
+        local *= geom.volume[tids, None]
         # an ND test basis covers the 12 edge slots that lead a Phi cell row
         table = target.cell_table[tids][:, : local.shape[1]]
         keep = table >= 0

@@ -73,10 +73,6 @@ class StudyConfig:
         for a, b in zip(self.levels, self.levels[1:]):
             if b <= a:
                 raise ConfigError("levels must be strictly increasing")
-        if not self.verify:
-            for eps in self.epsilons:
-                if eps <= 0:
-                    raise ConfigError(f"solve runs need eps > 0, got {eps}")
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
@@ -87,6 +83,9 @@ class StudyConfig:
             )
         try:
             SolverConfig(spd_tol=self.spd_tol, saddle_tol=self.saddle_tol)
+            # verify runs solve at their own eps
+            for eps in () if self.verify else self.epsilons:
+                SolverConfig(eps=eps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         levels = self.verify_levels

@@ -298,15 +298,6 @@ def dof_matrix(kind, geom, edge_degree=EDGE_DOF_DEGREE, tri_degree=FACE_DOF_DEGR
     return np.concatenate(blocks, axis=1)
 
 
-def _via_reps(geom, compute, shared_points=True):
-    """Run a per-tet pure-geometry computation on one representative per
-    translation class and broadcast; falls back to the direct path."""
-    rep = getattr(geom, "rep_geometry", None)
-    if shared_points and rep is not None and rep.num_tets < geom.num_tets:
-        return compute(rep)[geom.classes]
-    return compute(geom)
-
-
 def nodal_coefficients(kind, geom, chunk=4096):
     """Coefficient matrices C with DoF_i(sum_j C[j,k] mono_j) = delta_ik.
 
@@ -339,50 +330,66 @@ def nodal_coefficients(kind, geom, chunk=4096):
 
 def nodal_values(kind, geom, bary):
     """Nodal basis values, (T, P, nd[, 3])."""
-    shared = np.asarray(bary).ndim == 2
-
-    def compute(g):
-        C = nodal_coefficients(kind, g)
-        vals = shape_values(kind, g, bary)
-        if KIND_INFO[kind]["arity"] == 3:
-            return np.einsum("tpja,tjk->tpka", vals, C)
-        return np.einsum("tpj,tjk->tpk", vals, C)
-
-    return _via_reps(geom, compute, shared)
+    C = nodal_coefficients(kind, geom)
+    vals = shape_values(kind, geom, bary)
+    if KIND_INFO[kind]["arity"] == 3:
+        return np.einsum("tpja,tjk->tpka", vals, C)
+    return np.einsum("tpj,tjk->tpk", vals, C)
 
 
 def nodal_gradients(kind, geom, bary):
     """Nodal basis gradients/Jacobians, (T, P, nd, 3) or (T, P, nd, 3, 3)."""
-    shared = np.asarray(bary).ndim == 2
-
-    def compute(g):
-        C = nodal_coefficients(kind, g)
-        grads = shape_gradients(kind, g, bary)
-        if KIND_INFO[kind]["arity"] == 3:
-            return np.einsum("tpjab,tjk->tpkab", grads, C)
-        return np.einsum("tpja,tjk->tpka", grads, C)
-
-    return _via_reps(geom, compute, shared)
+    C = nodal_coefficients(kind, geom)
+    grads = shape_gradients(kind, geom, bary)
+    if KIND_INFO[kind]["arity"] == 3:
+        return np.einsum("tpjab,tjk->tpkab", grads, C)
+    return np.einsum("tpja,tjk->tpka", grads, C)
 
 
 def nodal_curls(kind, geom):
     """Nodal basis curls (constant per tet), (T, nd, 3)."""
-
-    def compute(g):
-        C = nodal_coefficients(kind, g)
-        return np.einsum("tja,tjk->tka", shape_curls(kind, g), C)
-
-    return _via_reps(geom, compute)
+    C = nodal_coefficients(kind, geom)
+    return np.einsum("tja,tjk->tka", shape_curls(kind, geom), C)
 
 
 def rt_nodal_divergences(geom):
     """Divergences of the RT0 nodal basis (constant per tet), (T, 4)."""
+    C = nodal_coefficients(RT0, geom)
+    return np.einsum("tj,tjk->tk", rt_divergences(geom), C)
 
-    def compute(g):
-        C = nodal_coefficients(RT0, g)
-        return np.einsum("tj,tjk->tk", rt_divergences(g), C)
 
-    return _via_reps(geom, compute)
+def class_table(kind, rep, bary, gradients=False):
+    """Nodal basis values (or gradients) at the shared points ``bary`` on
+    each class representative, laid out for one GEMM per class:
+    (n_classes, nd, P * value size).
+
+    Every tet of a translation class has the same nodal basis at shared
+    barycentric points, so the table is evaluated once per (kind,
+    derivative, point set) and cached on the representative geometry.
+    """
+    cache = getattr(rep, "_class_tables", None)
+    if cache is None:
+        cache = {}
+        rep._class_tables = cache
+    bary = np.asarray(bary, dtype=float)
+    key = (kind, gradients, bary.shape, bary.tobytes())
+    if key not in cache:
+        evaluate = nodal_gradients if gradients else nodal_values
+        B = evaluate(kind, rep, bary)  # (nc, P, nd, ...)
+        nc, _, nd = B.shape[:3]
+        cache[key] = np.ascontiguousarray(np.moveaxis(B, 2, 1)).reshape(nc, nd, -1)
+    return cache[key]
+
+
+def class_matmul(classes, lhs, tables):
+    """Row-wise ``lhs[t] @ tables[classes[t]]`` with one GEMM per class;
+    (T, k) and (n_classes, k, m) -> (T, m)."""
+    out = np.empty((lhs.shape[0], tables.shape[2]))
+    for c in range(tables.shape[0]):
+        idx = np.flatnonzero(classes == c)
+        if idx.size:
+            out[idx] = lhs[idx] @ tables[c]
+    return out
 
 
 def apply_dofs(kind, geom, field, edge_degree=None, tri_degree=None, tet_degree=6):

@@ -54,14 +54,12 @@ def compute_error(kind, fe, exact, quad_degree=8, chunk=_CHUNK):
     nT = mesh.num_tets
     for lo in range(0, nT, chunk):
         tids = np.arange(lo, min(lo + chunk, nT))
-        g = geom.take(tids)
-        phys = np.einsum("qi,tij->tqj", pts, g.vertices)
+        phys = np.matmul(pts, geom.vertices[tids])
         vals = evaluate(fe, pts, tids)
         ex = _exact_at(exact, attr, phys).reshape(vals.shape)
-        diff2 = (vals - ex) ** 2
         # pointwise squared norm over the value axes (none for scalars)
-        diff2 = diff2.sum(axis=tuple(range(2, diff2.ndim)))
-        total += float(np.einsum("q,tq,t->", w, diff2, g.volume))
+        d = (vals - ex).reshape(tids.size, w.size, -1)
+        total += float(geom.volume[tids] @ (np.einsum("tqk,tqk->tq", d, d) @ w))
     return math.sqrt(total)
 
 

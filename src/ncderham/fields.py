@@ -212,32 +212,45 @@ def fd_validate(field, npoints=50, seed=0, step=1e-4, rtol=1e-6):
 
     Deviations are measured relative to the sampled magnitude of the exact
     quantity.  The nested bi-Laplacian check uses a wider step and a
-    looser 1e-5 threshold (two stacked second-difference stencils).
+    looser 1e-5 threshold (two stacked second-difference stencils).  A
+    stencil with weights w applied to f carries a roundoff of about
+    eps_machine * ||w||_1 * max|f| even on exact data, so the scale is
+    floored where that roundoff reaches the threshold: a derivative that
+    vanishes is checked to the stencil's roundoff level.
     """
     rng = np.random.default_rng(seed)
     X = _sample_points(npoints, rng)
     checks = {}
 
-    def record(name, fd, exact, tol):
-        scale = max(np.abs(exact).max(), 1e-12)
+    def record(name, fd, exact, tol, f, stencil_l1):
+        roundoff = np.finfo(float).eps * stencil_l1 * np.abs(f).max()
+        scale = max(np.abs(exact).max(), roundoff / tol, np.finfo(float).tiny)
         dev = float(np.abs(fd - exact).max() / scale)
         checks[name] = {"max_rel_dev": dev, "tol": tol, "passed": dev <= tol}
 
+    wide = 1e-3
+    # l1 norms of the central-difference and 7-point Laplacian stencils
+    diff_w, lap_w = 1 / step, 12 / wide**2
     if field.arity == 1:
+        u = field.value(X)
         if field.gradient is not None:
-            record("gradient", _fd_gradient(field.value, X, step), field.gradient(X), rtol)
+            record("gradient", _fd_gradient(field.value, X, step), field.gradient(X),
+                   rtol, u, diff_w)
         if field.hessian is not None and field.gradient is not None:
             fd = _fd_gradient(field.gradient, X, step)
-            record("hessian", np.swapaxes(fd, 1, 2), field.hessian(X), rtol)
+            record("hessian", np.swapaxes(fd, 1, 2), field.hessian(X), rtol,
+                   field.gradient(X), diff_w)
         if field.laplacian is not None:
-            record("laplacian", _fd_laplacian(field.value, X, 1e-3), field.laplacian(X), 1e-5)
+            record("laplacian", _fd_laplacian(field.value, X, wide),
+                   field.laplacian(X), 1e-5, u, lap_w)
         if field.bilaplacian is not None:
-            fd = _fd_laplacian(lambda Y: _fd_laplacian(field.value, Y, 1e-3), X, 1e-3)
-            record("bilaplacian", fd, field.bilaplacian(X), 1e-5)
+            fd = _fd_laplacian(lambda Y: _fd_laplacian(field.value, Y, wide), X, wide)
+            record("bilaplacian", fd, field.bilaplacian(X), 1e-5, u, lap_w**2)
     else:
         if field.jacobian is not None:
             fd = _fd_gradient(field.value, X, step)  # fd[:, b, a] = d v_a / d x_b
-            record("jacobian", np.swapaxes(fd, 1, 2), field.jacobian(X), rtol)
+            record("jacobian", np.swapaxes(fd, 1, 2), field.jacobian(X), rtol,
+                   field.value(X), diff_w)
 
     passed = all(c["passed"] for c in checks.values())
     return {"tag": field.tag, "passed": passed, "checks": checks}

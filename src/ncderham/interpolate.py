@@ -82,28 +82,32 @@ def fe_values(fe, bary, tids=None):
     ``tids`` restricts the evaluation to those tets.  Every evaluation of a
     discrete field goes through this function or ``fe_gradients``.
     """
-    dofmap = fe.dofmap
-    geom = mesh_geometry(dofmap.mesh)
-    if tids is not None:
-        geom = geom.take(tids)
-    local = gather_coefficients(dofmap, fe.coeffs, tids)
-    basis = el.nodal_values(dofmap.element, geom, bary)
-    if basis.ndim == 4:
-        return np.einsum("tj,tqja->tqa", local, basis)
-    return np.einsum("tj,tqj->tq", local, basis)
+    return _evaluate(fe, bary, tids, gradients=False)
 
 
 def fe_gradients(fe, bary, tids=None):
     """Gradients/Jacobians of a discrete function, (nT, P, 3[, 3])."""
+    return _evaluate(fe, bary, tids, gradients=True)
+
+
+def _evaluate(fe, bary, tids, gradients):
+    """Shared points on a translation-structured mesh take one GEMM per
+    class against the class's basis table; other cases go tet by tet."""
     dofmap = fe.dofmap
+    kind = dofmap.element
     geom = mesh_geometry(dofmap.mesh)
+    local = gather_coefficients(dofmap, fe.coeffs, tids)
+    bary = np.asarray(bary, dtype=float)
+    if bary.ndim == 2 and geom.rep_geometry is not None:
+        table = el.class_table(kind, geom.rep_geometry, bary, gradients)
+        classes = geom.classes if tids is None else geom.classes[tids]
+        vals = el.class_matmul(classes, local, table)
+        tail = (3,) * ((el.KIND_INFO[kind]["arity"] == 3) + gradients)
+        return vals.reshape((local.shape[0], bary.shape[0]) + tail)
     if tids is not None:
         geom = geom.take(tids)
-    local = gather_coefficients(dofmap, fe.coeffs, tids)
-    basis = el.nodal_gradients(dofmap.element, geom, bary)
-    if basis.ndim == 5:
-        return np.einsum("tj,tqjab->tqab", local, basis)
-    return np.einsum("tj,tqja->tqa", local, basis)
+    evaluate = el.nodal_gradients if gradients else el.nodal_values
+    return np.einsum("tj,tqj...->tq...", local, evaluate(kind, geom, bary))
 
 
 def _require(dofmaps, *spaces):

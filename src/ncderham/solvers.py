@@ -11,6 +11,7 @@ equilibration and iterative refinement) remains as a small-mesh oracle.
 Both stay robust as the perturbation parameter approaches zero.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,8 +41,8 @@ class SolverConfig:
     saddle_mode: str = "reduced"  # "reduced", or "direct" for the LU oracle
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.saddle_mode not in ("reduced", "direct"):

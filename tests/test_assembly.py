@@ -4,7 +4,7 @@ import pytest
 from ncderham import assembly as asm
 from ncderham import elements as el
 from ncderham.assembly import ND, P2, PHI, Q, RT, W
-from ncderham.fields import AnalyticField
+from ncderham.fields import AnalyticField, smooth_case_fields
 from ncderham.interpolate import FeFunction, canonical_interpolate
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import TET, barycentric_monomial_mean, get_rule
@@ -127,11 +127,16 @@ def test_load_zero_function_and_enrichment_annihilation(mesh2, maps2):
 
 
 def test_indphi_load_is_the_nd_route(mesh2, maps2):
-    """The edge-interpolated load equals the load of the Phi function's edge
-    coefficients against the ND basis, bit for bit."""
+    """The edge-interpolated load sees only the Phi function's edge
+    coefficients, and it matches an independent ND-basis quadrature."""
     rng = np.random.default_rng(37)
     phi = FeFunction(maps2[PHI], rng.standard_normal(maps2[PHI].dim))
     load = asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, phi)
+    edges_only = FeFunction(maps2[PHI], phi.coeffs.copy())
+    edges_only.coeffs[maps2[ND].dim :] = 0.0
+    assert np.array_equal(
+        load, asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, edges_only)
+    )
 
     geom = mesh_geometry(mesh2)
     rule = get_rule(TET, 2)
@@ -147,7 +152,32 @@ def test_indphi_load_is_the_nd_route(mesh2, maps2):
     table = maps2[P2].cell_table
     keep = table >= 0
     np.add.at(expected, table[keep], local[keep])
-    assert np.array_equal(load, expected)
+    assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+# load kind -> space of its discrete data (None: an analytic source)
+_LOAD_DATA = {"f_vs_p2": None, "gradw_vs_indphi": P2, "indphi_vs_gradp2": PHI,
+              "gradw_vs_phi": P2, "phi_vs_gradp2": PHI}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOAD_DATA))
+def test_class_batched_load_matches_per_tet_path(mesh2, maps2, kind):
+    """One GEMM per translation class reproduces the per-tet load."""
+    space = _LOAD_DATA[kind]
+    if space is None:
+        data = smooth_case_fields(1e-4)["f"]
+    else:
+        coeffs = np.random.default_rng(3).standard_normal(maps2[space].dim)
+        data = FeFunction(maps2[space], coeffs)
+    geom = mesh_geometry(mesh2)
+    batched = asm.assemble_load(kind, mesh2, maps2, data)
+    saved = geom.rep_geometry
+    geom.rep_geometry = None
+    try:
+        direct = asm.assemble_load(kind, mesh2, maps2, data)
+    finally:
+        geom.rep_geometry = saved
+    assert np.abs(batched - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_space_tag_mismatch_raises(mesh2, maps2):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ncderham.cli import ConfigError, StudyConfig, main, run_study, run_verify
+from ncderham.solvers import SolverConfig
 
 
 def test_config_validation():
@@ -17,6 +18,8 @@ def test_config_validation():
         StudyConfig(epsilons=(0.0,)).validate()
     with pytest.raises(ConfigError):
         StudyConfig(formats=("yaml",)).validate()
+    with pytest.raises(ValueError):
+        SolverConfig(eps=0)
     StudyConfig(levels=(1, 2, 4), epsilons=(1e-6,)).validate()
 
 
@@ -31,6 +34,8 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     assert main(["--quad-degree", "13"]) == 2
     assert main(["--epsilon", "abc"]) == 2
+    for eps in ("0", "nan", "inf"):
+        assert main(["--epsilon", eps]) == 2
     for fields in (
         {"spd_solver": "LU"}, {"load_degree": 13}, {"quad_degree": "8"},
         {"epsilons": 1e-4}, {"spd_tol": 0}, {"saddle_tol": 2},

@@ -9,10 +9,12 @@ from ncderham.interpolate import (
     FeFunction,
     canonical_interpolate,
     diff_operator_matrix,
+    fe_gradients,
     fe_values,
     nd_interpolant,
 )
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
+from ncderham.quadrature import TET, get_rule
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,28 @@ def constant_vector(c):
     return AnalyticField(
         "const", 3, lambda X: np.broadcast_to(c, (X.shape[0], 3)).copy()
     )
+
+
+@pytest.mark.parametrize("space", [P2, ND, RT, Q, PHI, W])
+def test_class_batched_evaluation_matches_per_tet_path(mesh2, maps2, space):
+    """Values and gradients from one GEMM per translation class agree with
+    the per-tet evaluation, on all tets and on a subset."""
+    coeffs = np.random.default_rng(8).standard_normal(maps2[space].dim)
+    fe = FeFunction(maps2[space], coeffs)
+    pts = get_rule(TET, 5).points
+    tids = np.arange(3, mesh2.num_tets, 5)
+    geom = mesh_geometry(mesh2)
+    calls = [(fn, t) for fn in (fe_values, fe_gradients) for t in (None, tids)]
+    batched = [fn(fe, pts, t) for fn, t in calls]
+    saved = geom.rep_geometry
+    geom.rep_geometry = None
+    try:
+        direct = [fn(fe, pts, t) for fn, t in calls]
+    finally:
+        geom.rep_geometry = saved
+    for b, d in zip(batched, direct):
+        assert b.shape == d.shape
+        assert np.abs(b - d).max() <= 1e-13 * max(np.abs(d).max(), 1e-300)
 
 
 def test_rt_interpolation_of_constant(mesh2, maps2):

@@ -1,14 +1,22 @@
 """The benchmark's tracer wraps public attributes of the package by name;
-this guard fails when a refactor renames one of them."""
+these guards fail when a refactor renames one of them or breaks a workload's
+correctness gate."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from ncderham.fields import layer_case_fields, smooth_case_fields
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
 def _tracing_module():
@@ -33,3 +41,15 @@ def test_tracer_wraps_every_field_callable():
     assert tracer.calls("fields.exact_eval") == calls
     assert tracer.counts["fields.exact_points"] == calls * len(X)
     assert tracer.metrics()["fields.exact_points"] == calls * len(X)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_traced_benchmark_run_passes_its_gate(workload):
+    """The tiny variant of each workload runs under the tracer and meets the
+    pinned errors and certificate."""
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--tiny", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, result
