@@ -263,22 +263,38 @@ def _edge_integrals(geom, values, rule):
 _VERTEX_BARY = np.eye(4)
 
 
-def dof_matrix(kind, geom, edge_degree=EDGE_DOF_DEGREE, tri_degree=FACE_DOF_DEGREE):
-    """Generalized Vandermonde V[i, j] = DoF_i(shape monomial j), (T, nd, nd)."""
+def dof_matrix(kind, geom, edge_degree=EDGE_DOF_DEGREE, tri_degree=FACE_DOF_DEGREE,
+               parent=None):
+    """Generalized Vandermonde V[i, j] = DoF_i(shape monomial j), (T, nd, nd).
+
+    With ``parent``, a geometry bundle of one tet per tet of ``geom``
+    containing it, the DoFs of ``geom`` are applied to the shape monomials
+    of the parent instead.
+    """
     T = geom.grad_lambda.shape[0]
     if kind == P0:
         return np.ones((T, 1, 1))
+    source = geom if parent is None else parent
+
+    def source_bary(bary):
+        bary = _as_batched(geom, bary)
+        if parent is None:
+            return bary
+        x = np.einsum("tpi,tij->tpj", bary, geom.vertices) - parent.vertices[:, None, 0]
+        lam = np.einsum("tpj,tij->tpi", x, parent.grad_lambda)
+        lam[..., 0] += 1.0
+        return lam
 
     blocks = []
     layout = KIND_INFO[kind]["layout"]
     if layout[0]:
-        vals = shape_values(kind, geom, _VERTEX_BARY)  # (T, 4, nd)
+        vals = shape_values(kind, source, source_bary(_VERTEX_BARY))  # (T, 4, nd)
         blocks.append(vals)
     if layout[1]:
         ebary, erule = edge_quad_bary(geom, edge_degree)
         q = erule.npoints
-        flat = ebary.reshape(T, 6 * q, 4)
-        vals = shape_values(kind, geom, flat)
+        flat = source_bary(ebary.reshape(T, 6 * q, 4))
+        vals = shape_values(kind, source, flat)
         if KIND_INFO[kind]["arity"] == 3:
             vals = vals.reshape(T, 6, q, -1, 3)
             blocks.append(_edge_moments(geom, vals, erule))
@@ -288,14 +304,22 @@ def dof_matrix(kind, geom, edge_degree=EDGE_DOF_DEGREE, tri_degree=FACE_DOF_DEGR
     if layout[2]:
         fbary, frule = face_quad_bary(geom, tri_degree)
         q = frule.npoints
-        flat = fbary.reshape(T, 4 * q, 4)
+        flat = source_bary(fbary.reshape(T, 4 * q, 4))
         if kind == W_NC:
-            grads = shape_gradients(kind, geom, flat).reshape(T, 4, q, -1, 3)
+            grads = shape_gradients(kind, source, flat).reshape(T, 4, q, -1, 3)
             blocks.append(_face_normal_integrals(geom, grads, frule))
         else:
-            vals = shape_values(kind, geom, flat).reshape(T, 4, q, -1, 3)
+            vals = shape_values(kind, source, flat).reshape(T, 4, q, -1, 3)
             blocks.append(_face_normal_integrals(geom, vals, frule))
     return np.concatenate(blocks, axis=1)
+
+
+def transfer_matrices(kind, geom, parent):
+    """DoFs of each tet of ``geom`` applied to the nodal basis of the parent
+    tet containing it, (T, nd, nd): entry [i, j] is child DoF i of parent
+    basis function j, the local canonical interpolation between nested
+    meshes."""
+    return dof_matrix(kind, geom, parent=parent) @ nodal_coefficients(kind, parent)
 
 
 def nodal_coefficients(kind, geom, chunk=4096):

@@ -16,8 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .assembly import ND, P2, PHI, Q, RT, W, AssemblyError, DofMap, gather_coefficients
-from .mesh import mesh_geometry
+from .assembly import (
+    ND, P2, PHI, Q, RT, W, AssemblyError, DofMap, _accumulate, gather_coefficients,
+)
+from .mesh import kuhn_parents, mesh_geometry
 
 
 @dataclass
@@ -73,6 +75,38 @@ def canonical_interpolate(
     if dofmap.space == Q and zero_mean:
         coeffs -= (coeffs @ geom.volume) / geom.volume.sum()
     return FeFunction(dofmap, coeffs)
+
+
+def prolongation(coarse, fine):
+    """Canonical interpolation of every coarse basis function into the fine
+    space of a Kuhn cube and its refinement, (fine.dim, coarse.dim).
+
+    A fine DoF shared by fine tets of different parents takes the average
+    of their values; for a nonconforming space this is the averaged
+    transfer of nonconforming multigrid (Brenner 1989).  The local
+    matrices depend only on the parent's translation class and the child's
+    slot, so they are computed once per pair (48 on a Kuhn cube).
+    """
+    if coarse.space != fine.space:
+        raise AssemblyError("prolongation needs DofMaps of one space")
+    parents, slots = kuhn_parents(fine.mesh, coarse.mesh)
+    cgeom, fgeom = mesh_geometry(coarse.mesh), mesh_geometry(fine.mesh)
+    pairs = cgeom.classes[parents] * 48 + slots
+    _, reps, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    local = el.transfer_matrices(
+        fine.element, fgeom.take(reps), cgeom.take(parents[reps])
+    )[inverse]
+    summed = _accumulate(
+        fine.cell_table, coarse.cell_table[parents], local, (fine.dim, coarse.dim)
+    )
+    rows = fine.cell_table[fine.cell_table >= 0]
+    P = (sp.diags(1.0 / np.bincount(rows, minlength=fine.dim)) @ summed).tocsr()
+    # entries that vanish exactly come out of the quadrature as roundoff;
+    # kept, they would double the transfer's nonzeros and widen every
+    # Galerkin product built from it
+    P.data[np.abs(P.data) < 1e-12 * np.abs(P.data).max()] = 0.0
+    P.eliminate_zeros()
+    return P
 
 
 def fe_values(fe, bary, tids=None):

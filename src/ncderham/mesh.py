@@ -8,12 +8,16 @@ shared degrees of freedom single-valued without per-element sign tables.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 # local subsimplices of a tet, by local vertex index
 LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+# the six Kuhn tets of a subcube: tet p walks the cube's edges along the
+# axes KUHN_PERMS[p] and holds the points with x[p0] >= x[p1] >= x[p2]
+KUHN_PERMS = tuple(permutations(range(3)))
 
 
 class MeshIntegrityError(Exception):
@@ -40,6 +44,7 @@ class SimplicialMesh:
     boundary_edge: np.ndarray = field(default=None)
     boundary_face: np.ndarray = field(default=None)
     h: float = 0.0
+    kuhn_n: int = None  # subdivisions per axis of a Kuhn unit-cube mesh
 
     @property
     def num_vertices(self):
@@ -112,9 +117,18 @@ class MeshGeometry:
 
 
 def _unique_rows(rows):
-    """Sorted unique rows and the inverse map, deterministic."""
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(-1)
+    """Lexicographically sorted unique rows and the inverse map.
+
+    ``np.lexsort`` on the columns avoids both the structured-dtype sort of
+    ``np.unique(axis=0)`` and an integer key that could overflow int64.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(rows.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def build_mesh_from_tets(vertices, tets):
@@ -133,18 +147,15 @@ def build_mesh_from_tets(vertices, tets):
     faces, face_inv = _unique_rows(face_triples)
     tet_to_faces = face_inv.reshape(nT, 4)
 
-    nF = faces.shape[0]
-    face_to_tets = np.full((nF, 2), -1, dtype=np.int64)
-    face_count = np.zeros(nF, dtype=np.int64)
+    # each face's incident tets in ascending order fill its two slots
     order = np.argsort(tet_to_faces.reshape(-1), kind="stable")
     flat_faces = tet_to_faces.reshape(-1)[order]
-    flat_tets = np.repeat(np.arange(nT), 4)[order]
-    for f, t in zip(flat_faces, flat_tets):
-        c = face_count[f]
-        if c >= 2:
-            raise MeshIntegrityError(f"face {f} incident to more than 2 tets")
-        face_to_tets[f, c] = t
-        face_count[f] = c + 1
+    slot = np.arange(flat_faces.size) - np.searchsorted(flat_faces, flat_faces)
+    if np.any(slot >= 2):
+        f = flat_faces[np.argmax(slot >= 2)]
+        raise MeshIntegrityError(f"face {f} incident to more than 2 tets")
+    face_to_tets = np.full((faces.shape[0], 2), -1, dtype=np.int64)
+    face_to_tets[flat_faces, slot] = order // 4
 
     # ascending-global-id local orderings
     gids = tets[:, LOCAL_EDGES]  # (nT, 6, 2)
@@ -239,16 +250,13 @@ def build_unit_cube_mesh(n):
     def vid(x, y, z):
         return x + k * y + k * k * z
 
-    from itertools import permutations
-
-    perms = list(permutations(range(3)))
     cubes = np.array(
         [(x, y, z) for z in range(n) for y in range(n) for x in range(n)],
         dtype=np.int64,
     )
     tets = np.empty((6 * n**3, 4), dtype=np.int64)
     axes = np.eye(3, dtype=np.int64)
-    for p, perm in enumerate(perms):
+    for p, perm in enumerate(KUHN_PERMS):
         corners = np.zeros((4, 3), dtype=np.int64)
         for step in range(3):
             corners[step + 1] = corners[step] + axes[perm[step]]
@@ -259,7 +267,40 @@ def build_unit_cube_mesh(n):
         offs = cubes[:, None, :] + corners[None, :, :]  # (ncubes, 4, 3)
         ids = vid(offs[..., 0], offs[..., 1], offs[..., 2])
         tets[p::6] = ids
-    return build_mesh_from_tets(vertices, tets)
+    mesh = build_mesh_from_tets(vertices, tets)
+    mesh.kuhn_n = n
+    return mesh
+
+
+def kuhn_parents(fine, coarse):
+    """Parent tet and child slot of every tet of a Kuhn mesh refined once
+    from ``coarse`` (``fine.kuhn_n == 2 * coarse.kuhn_n``).
+
+    Uniform refinement of a Kuhn cube is nested: every coarse tet holds
+    eight fine ones (Bey 1995).  The slot, in [0, 48), names the child's
+    subcube within its parent's subcube and its own Kuhn tet, so a parent's
+    translation class and a child's slot fix their relative geometry.
+    """
+    n = coarse.kuhn_n
+    if n is None or fine.kuhn_n != 2 * n:
+        raise MeshIntegrityError("meshes are not a Kuhn cube and its refinement")
+    # tet 6 * cube + p of build_unit_cube_mesh is Kuhn tet p of its cube,
+    # and cubes are numbered with x fastest
+    cube, p = np.divmod(np.arange(fine.num_tets), 6)
+    xyz = np.stack([cube % (2 * n), cube // (2 * n) % (2 * n), cube // (4 * n * n)], axis=1)
+    offset = xyz % 2
+    # the child's centroid in its parent subcube's unit coordinates; the
+    # descending order of its coordinates is the parent's Kuhn permutation
+    walk = np.array([(3, 2, 1)]) / 4.0
+    centroid = np.empty((len(KUHN_PERMS), 3))
+    for q, perm in enumerate(KUHN_PERMS):
+        centroid[q, list(perm)] = walk
+    order = np.argsort(-(offset + centroid[p]) / 2, axis=1)
+    code = {9 * a + 3 * b + c: q for q, (a, b, c) in enumerate(KUHN_PERMS)}
+    lookup = np.array([code.get(i, -1) for i in range(27)])
+    parent_p = lookup[order @ np.array([9, 3, 1])]
+    coarse_cube = (xyz // 2) @ np.array([1, n, n * n])
+    return 6 * coarse_cube + parent_p, 6 * (offset @ np.array([1, 2, 4])) + p
 
 
 def _perm_parity(perm):

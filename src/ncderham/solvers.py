@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 from . import assembly as asm
 from .assembly import ND, P2, PHI, Q, RT, W
 from .fields import AnalyticField
-from .interpolate import FeFunction, diff_operator_matrix
+from .interpolate import FeFunction, diff_operator_matrix, prolongation
+from .mesh import build_unit_cube_mesh
 
 
 class SolverFailure(Exception):
@@ -62,6 +63,10 @@ class ReductionOperators:
     curl_nd: object  # (n_rt, n_nd)
     grad_nd: object  # (n_nd, n_p2)
     rt_mass: object  # (n_rt, n_rt)
+    # W transfers down a nested hierarchy, finest first: the potential solve
+    # takes a multigrid preconditioner (an empty tuple leaves one level, a
+    # direct solve); None keeps Jacobi
+    w_transfers: tuple = None
 
 
 @dataclass
@@ -76,7 +81,7 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _jacobi_cg(matrix, rhs, config, M, atol):
+def _pcg(matrix, rhs, config, M, atol):
     """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
 
     Returns the iterate and the solve's record: ``iterations``, the true
@@ -110,22 +115,29 @@ def _jacobi_cg(matrix, rhs, config, M, atol):
     return x, record
 
 
-def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0):
-    """Solve an SPD system by Jacobi-preconditioned CG.
+def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
+    """Solve an SPD system by preconditioned CG.
 
     CG stops once the residual norm falls below ``max(atol, spd_tol *
-    ||rhs||)``.  ``stats``, when given a dict, receives the solve's record
-    (see ``_jacobi_cg``).  A solve stopped at ``spd_maxiter`` raises; a
-    drifted one does not.
+    ||rhs||)``.  ``M`` is a ``VCycle`` preconditioner; without one the solve
+    is Jacobi-preconditioned.  ``stats``, when given a dict, receives the
+    solve's record (see ``_pcg``) and its ``preconditioner``, plus a
+    multigrid preconditioner's ``levels`` and ``setup_s``.  A solve stopped
+    at ``spd_maxiter`` raises; a drifted one does not.
     """
     config = config or SolverConfig()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
-    diag = matrix.diagonal()
-    if np.any(diag <= 0):
-        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-    x, record = _jacobi_cg(matrix, rhs, config, sp.diags(1.0 / diag), atol)
+    if M is None:
+        diag = matrix.diagonal()
+        if np.any(diag <= 0):
+            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+        M, info = sp.diags(1.0 / diag), {"preconditioner": "jacobi"}
+    else:
+        info = M.info
+    x, record = _pcg(matrix, rhs, config, M, atol)
+    record = {**info, **record}
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
@@ -134,6 +146,109 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0):
             residuals=[record["residual"]],
         )
     return x
+
+
+class VCycle(spla.LinearOperator):
+    """Symmetric multigrid V-cycle for an SPD matrix on a nested hierarchy.
+
+    The coarse operators are Galerkin products ``P^T A P`` of the
+    transfers, finest first, so the cycle needs no coarse discretization
+    and stays robust in eps.  Each level but the coarsest smooths with
+    ``SMOOTHING_STEPS`` Chebyshev steps on the Jacobi-scaled operator before
+    and after its coarse correction, over ``[lmax / 30, 1.1 lmax]`` with
+    ``lmax`` estimated by Lanczos; the coarsest level is solved by sparse LU.
+    Pre- and post-smoothing apply the same polynomial, so the cycle is
+    symmetric.  It calls no Krylov solver of its own.
+    """
+
+    SMOOTHING_STEPS = 3
+
+    def __init__(self, matrix, transfers):
+        t0 = time.perf_counter()
+        super().__init__(float, matrix.shape)
+        self.transfers = list(transfers)
+        self.restrictions = [P.T.tocsr() for P in self.transfers]
+        self.ops = [_without_roundoff(matrix)]
+        for P, R in zip(self.transfers, self.restrictions):
+            coarse = R @ (self.ops[-1] @ P)
+            self.ops.append(_without_roundoff((coarse + coarse.T) * 0.5))
+        self.inv_diag = [1.0 / A.diagonal() for A in self.ops[:-1]]
+        self.bounds = []
+        for A, dinv in zip(self.ops[:-1], self.inv_diag):
+            lmax = _lanczos_max(A, dinv)
+            self.bounds.append((lmax / 30.0, 1.1 * lmax))
+        self.coarse_lu = spla.splu(self.ops[-1].tocsc())
+        self.info = {"preconditioner": "multigrid", "levels": len(self.ops),
+                     "setup_s": time.perf_counter() - t0}
+
+    def _matvec(self, b):
+        return self._cycle(0, np.ravel(b))
+
+    def _cycle(self, level, b):
+        if level == len(self.transfers):
+            return self.coarse_lu.solve(b)
+        x, r = self._smooth(level, b, np.zeros_like(b), b.copy())
+        x += self.transfers[level] @ self._cycle(level + 1, self.restrictions[level] @ r)
+        x, _ = self._smooth(level, b, x, None)
+        return x
+
+    def _smooth(self, level, b, x, r):
+        """Chebyshev steps from ``x`` with residual ``r`` (computed when
+        None); returns the iterate and, for the pre-smoother, its residual."""
+        A, dinv = self.ops[level], self.inv_diag[level]
+        lo, hi = self.bounds[level]
+        pre = r is not None
+        if not pre:
+            r = b - A @ x
+        theta, delta = (hi + lo) / 2, (hi - lo) / 2
+        rho = delta / theta
+        d = dinv * r / theta
+        for step in range(self.SMOOTHING_STEPS):
+            x += d
+            if step == self.SMOOTHING_STEPS - 1:
+                break
+            r -= A @ d
+            rho_next = 1.0 / (2 * theta / delta - rho)
+            d = rho_next * rho * d + (2 * rho_next / delta) * (dinv * r)
+            rho = rho_next
+        if pre:
+            r -= A @ d
+        return x, r
+
+
+def _without_roundoff(A):
+    """``A`` without the entries below 1e-12 of ``sqrt(a_ii a_jj)``: sparse
+    products of the complex's operators leave cancelled couplings as
+    roundoff (a seventh of the W potential's entries at n=16), which only
+    slow the cycle's products."""
+    A = A.tocsr()
+    d = np.sqrt(np.abs(A.diagonal()))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    keep = np.abs(A.data) >= 1e-12 * d[rows] * d[A.indices]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=A.shape[0]))])
+    return sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+
+
+def _lanczos_max(A, inv_diag, steps=15):
+    """Largest eigenvalue of the Jacobi-scaled ``A`` by ``steps`` Lanczos
+    steps from a fixed start vector (a lower estimate, close at the top)."""
+    scale = np.sqrt(inv_diag)
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    v /= np.linalg.norm(v)
+    v_prev, beta = np.zeros_like(v), 0.0
+    alphas, betas = [], []
+    for _ in range(min(steps, A.shape[0])):
+        w = scale * (A @ (scale * v)) - beta * v_prev
+        alpha = w @ v
+        w -= alpha * v
+        beta = np.linalg.norm(w)
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0:
+            break
+        v_prev, v = v, w / beta
+    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    return float(np.linalg.eigvalsh(T)[-1])
 
 
 def _equilibrate(K):
@@ -256,6 +371,7 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
 
     phi = np.zeros(nphi)
     p = np.zeros(C.shape[1])
+    M = None
     bnorm = np.linalg.norm(rhs_phi)
     # every inner solve stops at the outer problem's scale as well as
     # relative to its own right-hand side
@@ -269,7 +385,9 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
         if res <= config.saddle_tol:
             break
         potential, projection = {}, {}
-        w = solve_spd(Ared, G.T @ r_phi, config, stats=potential, atol=atol)
+        if M is None and red.w_transfers is not None:
+            M = VCycle(Ared, red.w_transfers)
+        w = solve_spd(Ared, G.T @ r_phi, config, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
         # the solver tolerance of the potential step leaves a tiny component
@@ -333,7 +451,8 @@ def _solve_consistent(Z, b, config, atol):
     """
     diag = Z.diagonal()
     M = sp.diags(np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0))
-    return _jacobi_cg(Z, b, config, M, atol)
+    x, record = _pcg(Z, b, config, M, atol)
+    return x, {"preconditioner": "jacobi", **record}
 
 
 def build_spaces(mesh):
@@ -350,6 +469,20 @@ def _level_matrix(kind, mesh, dofmaps, cache):
         else:
             cache[kind] = diff_operator_matrix(kind, dofmaps)
     return cache[kind].matrix
+
+
+def _w_transfers(mesh, dofmaps, cache):
+    """W transfers down the Kuhn hierarchy n, n/2, ..., halving while n is
+    even and above 2, finest first; built once per level ``cache``."""
+    if "w_transfers" not in cache:
+        transfers, fine, n = [], dofmaps[W], mesh.kuhn_n
+        while n % 2 == 0 and n > 2:
+            n //= 2
+            coarse = asm.build_dof_map(W, build_unit_cube_mesh(n))
+            transfers.append(prolongation(coarse, fine))
+            fine = coarse
+        cache["w_transfers"] = tuple(transfers)
+    return cache["w_transfers"]
 
 
 def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
@@ -390,11 +523,16 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
     vols = asm.q_weights(mesh)
+    # once eps >= h the fourth-order part dominates the W potential and
+    # Jacobi-CG counts grow like h^-2; below it they stay small, and a cold
+    # hierarchy would cost more than it saves
+    multigrid = config.eps >= mesh.h and mesh.kuhn_n is not None and mesh.kuhn_n % 2 == 0
     reduction = ReductionOperators(
         grad=_level_matrix("grad", mesh, dofmaps, forms),
         curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
         grad_nd=_level_matrix("grad_nd", mesh, dofmaps, forms),
         rt_mass=_level_matrix("rt_mass", mesh, dofmaps, forms),
+        w_transfers=_w_transfers(mesh, dofmaps, forms) if multigrid else None,
     )
     t0 = time.perf_counter()
     try:

@@ -71,6 +71,16 @@ def test_source_matches_fd_oracle(eps):
     assert fd_source_residual(data["u"], data["f"], eps) < 1e-5
 
 
+def test_source_oracle_checks_a_vanishing_source_at_roundoff_level():
+    """u = xyz has eps^2 Lap^2 u - Lap u = 0: the right source passes
+    and a wrong one fails."""
+    u = _monomial((1, 1, 1))
+    zero = AnalyticField("zero", 1, lambda X: np.zeros(X.shape[0]))
+    assert fd_source_residual(u, zero, 1e-2) < 1e-5
+    wrong = AnalyticField("wrong", 1, lambda X: np.full(X.shape[0], 1e-3))
+    assert fd_source_residual(u, wrong, 1e-2) > 1e-5
+
+
 def test_fd_oracle_detects_corruption():
     data = smooth_case_fields(1.0)
     u = data["u"]

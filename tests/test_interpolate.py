@@ -12,8 +12,9 @@ from ncderham.interpolate import (
     fe_gradients,
     fe_values,
     nd_interpolant,
+    prolongation,
 )
-from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
+from ncderham.mesh import build_unit_cube_mesh, kuhn_parents, mesh_geometry
 from ncderham.quadrature import TET, get_rule
 
 
@@ -205,3 +206,64 @@ def test_nd_interpolant_helper(maps2):
     fe = FeFunction(maps2[PHI], c)
     nd = nd_interpolant(fe, maps2[ND])
     assert np.array_equal(nd.coeffs, c[: maps2[ND].dim])
+
+
+def _parent_points(fine, coarse, bary):
+    """Barycentric coordinates, in each fine tet's parent, of the points
+    ``bary`` of the fine tet; and the parents."""
+    parents, _ = kuhn_parents(fine, coarse)
+    fgeom, cgeom = mesh_geometry(fine), mesh_geometry(coarse)
+    x = np.einsum("pi,tij->tpj", bary, fgeom.vertices) - cgeom.vertices[parents][:, None, 0]
+    lam = np.einsum("tpj,tij->tpi", x, cgeom.grad_lambda[parents])
+    lam[..., 0] += 1.0
+    return lam, parents
+
+
+def test_p2_prolongation_is_exact_at_fine_quadrature_points():
+    """P2 spaces are nested, so the prolongated coarse function equals the
+    coarse function itself."""
+    coarse, fine = build_unit_cube_mesh(2), build_unit_cube_mesh(4)
+    cmap, fmap = asm.build_dof_map(P2, coarse), asm.build_dof_map(P2, fine)
+    x = np.random.default_rng(0).standard_normal(cmap.dim)
+    pts = get_rule(TET, 4).points
+    fine_vals = fe_values(FeFunction(fmap, prolongation(cmap, fmap) @ x), pts)
+    lam, parents = _parent_points(fine, coarse, pts)
+    coarse_vals = np.concatenate([
+        fe_values(FeFunction(cmap, x), lam[t:t + 1], [parents[t]])
+        for t in range(fine.num_tets)
+    ])
+    assert np.abs(fine_vals - coarse_vals).max() <= 1e-13 * np.abs(coarse_vals).max()
+
+
+def test_w_prolongation_averages_the_per_tet_canonical_interpolants():
+    """Each fine DoF of a prolongated W function is the mean, over the fine
+    tets sharing it, of the DoF applied to the coarse function on the tet's
+    parent (the element DoFs applied tet by tet, as a reference)."""
+    coarse, fine = build_unit_cube_mesh(2), build_unit_cube_mesh(4)
+    cmap, fmap = asm.build_dof_map(W, coarse), asm.build_dof_map(W, fine)
+    x = np.random.default_rng(1).standard_normal(cmap.dim)
+    parents, _ = kuhn_parents(fine, coarse)
+    cgeom, fgeom = mesh_geometry(coarse), mesh_geometry(fine)
+    coarse_fe = FeFunction(cmap, x)
+    total, count = np.zeros(fmap.dim), np.zeros(fmap.dim)
+    for t in range(fine.num_tets):
+        T = parents[t]
+
+        def parent_bary(X, T=T):
+            lam = (X - cgeom.vertices[T, 0]) @ cgeom.grad_lambda[T].T
+            lam[:, 0] += 1.0
+            return lam[None]
+
+        field = AnalyticField(
+            "coarse", 1,
+            lambda X, f=parent_bary, T=T: fe_values(coarse_fe, f(X), [T])[0],
+            gradient=lambda X, f=parent_bary, T=T: fe_gradients(coarse_fe, f(X), [T])[0],
+        )
+        local = el.apply_dofs(el.W_NC, fgeom.take([t]), field)[0]
+        dofs = fmap.cell_table[t]
+        keep = dofs >= 0
+        np.add.at(total, dofs[keep], local[keep])
+        np.add.at(count, dofs[keep], 1.0)
+    reference = total / count
+    found = prolongation(cmap, fmap) @ x
+    assert np.abs(found - reference).max() <= 1e-12 * np.abs(reference).max()

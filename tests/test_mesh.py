@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from ncderham.mesh import (
+    LOCAL_EDGES,
+    LOCAL_FACES,
     DegenerateGeometryError,
     MeshIntegrityError,
     build_mesh_from_tets,
     build_unit_cube_mesh,
+    kuhn_parents,
     mesh_geometry,
     tet_geometry,
 )
@@ -102,8 +105,49 @@ def test_nonmanifold_face_raises():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1.0]]
     )
     tets = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
-    with pytest.raises(MeshIntegrityError):
+    with pytest.raises(MeshIntegrityError, match="incident to more than 2 tets"):
         build_mesh_from_tets(verts, tets)
+
+
+def test_entity_tables_match_a_row_unique_reference():
+    """Edges, faces and their incidence equal the tables built with
+    ``np.unique(axis=0)`` and a per-face loop, array for array."""
+    mesh = build_unit_cube_mesh(3)
+    tets, nT = mesh.tets, mesh.num_tets
+    edges, einv = np.unique(
+        np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2), axis=0, return_inverse=True
+    )
+    faces, finv = np.unique(
+        np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3), axis=0, return_inverse=True
+    )
+    face_to_tets = np.full((faces.shape[0], 2), -1)
+    count = np.zeros(faces.shape[0], dtype=int)
+    for f, t in zip(finv.reshape(-1), np.repeat(np.arange(nT), 4)):
+        face_to_tets[f, count[f]] = t
+        count[f] += 1
+    for name, ref in (
+        ("edges", edges), ("faces", faces), ("tet_to_edges", einv.reshape(nT, 6)),
+        ("tet_to_faces", finv.reshape(nT, 4)), ("face_to_tets", face_to_tets),
+    ):
+        found = getattr(mesh, name)
+        assert found.dtype == np.int64 and np.array_equal(found, ref), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kuhn_refinement_is_nested(n):
+    """Every fine tet lies in its parent, every parent has eight children,
+    and the (parent class, child slot) pairs number 48."""
+    coarse, fine = build_unit_cube_mesh(n), build_unit_cube_mesh(2 * n)
+    parents, slots = kuhn_parents(fine, coarse)
+    cgeom = mesh_geometry(coarse)
+    X = fine.vertices[fine.tets] - cgeom.vertices[parents][:, None, 0]
+    lam = np.einsum("tpj,tij->tpi", X, cgeom.grad_lambda[parents])
+    lam[..., 0] += 1.0
+    assert lam.min() >= -1e-14
+    assert np.array_equal(np.bincount(parents), np.full(coarse.num_tets, 8))
+    assert np.unique(cgeom.classes[parents] * 48 + slots).size == 48
+    with pytest.raises(MeshIntegrityError):
+        kuhn_parents(build_unit_cube_mesh(3), coarse)
 
 
 def test_invalid_n():

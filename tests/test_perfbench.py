@@ -17,6 +17,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+# per-layer counts a workload's traced run must not leave at 0: the tracer
+# counts the W potential by its solve_spd calls inside the saddle stage
+NONZERO_COUNTS = {
+    "smooth-n16-eps1": ("solvers.krylov.potential.iters", "solvers.saddle.sweeps"),
+}
 
 
 def _tracing_module():
@@ -53,3 +58,5 @@ def test_tiny_traced_benchmark_run_passes_its_gate(workload):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, result
+    for name in NONZERO_COUNTS.get(workload, ()):
+        assert result["metrics"][name]["value"] >= 1, name

@@ -7,11 +7,13 @@ from ncderham import solvers
 from ncderham.assembly import ND, PHI, W
 from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
-from ncderham.mesh import build_unit_cube_mesh
+from ncderham.errors import compute_error, err_phi
+from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh
 from ncderham.solvers import (
     ReductionOperators,
     SolverConfig,
     SolverFailure,
+    VCycle,
     build_spaces,
     decoupled_solve,
     solve_saddle,
@@ -310,3 +312,95 @@ def test_inner_solve_failure_names_its_stage(setup4):
         decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
     assert str(exc.value).startswith("stage 1 (poisson w): ")
     assert exc.value.residuals
+
+
+def potential_matrix(mesh, maps, eps):
+    """The saddle stage's W potential matrix G^T (eps^2 stiffness + mass) G."""
+    G = diff_operator_matrix("grad", maps).matrix
+    return (G.T @ (vector_form(mesh, maps, eps) @ G)).tocsr()
+
+
+def w_transfers(mesh):
+    """W prolongations down the Kuhn hierarchy of ``mesh``, finest first."""
+    return solvers._w_transfers(mesh, build_spaces(mesh), {})
+
+
+def test_vcycle_is_symmetric_and_positive(setup4):
+    mesh, maps = setup4
+    A = potential_matrix(mesh, maps, 1.0)
+    B = VCycle(A, w_transfers(mesh))
+    assert B.info["preconditioner"] == "multigrid" and B.info["levels"] == 2
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, A.shape[0]))
+        Bx, By = B @ x, B @ y
+        assert abs(Bx @ y - x @ By) <= 1e-12 * np.linalg.norm(Bx) * np.linalg.norm(y)
+        assert x @ Bx > 0
+
+
+def test_vcycle_on_one_level_is_the_direct_solve(setup2):
+    mesh, maps = setup2
+    A = potential_matrix(mesh, maps, 1.0)
+    transfers = w_transfers(mesh)
+    assert transfers == ()
+    b = np.random.default_rng(12).standard_normal(A.shape[0])
+    x = VCycle(A, transfers) @ b
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def stiff_n8():
+    """The n=8, eps=1 smooth case on the multigrid route."""
+    mesh = build_unit_cube_mesh(8)
+    maps = build_spaces(mesh)
+    data = smooth_case_fields(1.0)
+    return mesh, data, decoupled_solve(data["f"], mesh, SolverConfig(eps=1.0), maps)
+
+
+def _errors(sol, data, eps):
+    return np.array([
+        err_phi(sol.phi_h, data["phi"], eps),
+        compute_error("l2_scalar", sol.u_h, data["u"]),
+        compute_error("h1semi_scalar", sol.u_h, data["u"]),
+    ])
+
+
+def test_multigrid_and_jacobi_routes_agree(stiff_n8):
+    """The same tets without the Kuhn record take Jacobi; both routes give
+    the same errors."""
+    mesh, data, sol = stiff_n8
+    plain = build_mesh_from_tets(mesh.vertices, mesh.tets)
+    assert plain.kuhn_n is None
+    jac = decoupled_solve(data["f"], plain, SolverConfig(eps=1.0), build_spaces(plain))
+    potentials = [r for r in jac.diagnostics["krylov"] if r["stage"] == "potential"]
+    assert {r["preconditioner"] for r in potentials} == {"jacobi"}
+    mg, ref = _errors(sol, data, 1.0), _errors(jac, data, 1.0)
+    assert np.all(np.abs(mg - ref) <= 1e-9 * np.abs(ref))
+
+
+def test_multigrid_potential_takes_one_sweep(stiff_n8):
+    """At n=8, eps=1 the potential needs at most 150 MG-PCG iterations and
+    the saddle one sweep.  Its first record may read drifted: rounding the
+    solution to double already leaves a residual of about 1e-9, above the
+    1.8e-10 target of spd_tol * ||rhs||."""
+    _, _, sol = stiff_n8
+    potentials = [r for r in sol.diagnostics["krylov"] if r["stage"] == "potential"]
+    assert [r["sweep"] for r in potentials] == [1]
+    for r in potentials:
+        assert r["preconditioner"] == "multigrid"
+        assert r["levels"] == 3 and r["setup_s"] > 0
+        assert 1 <= r["iterations"] <= 150
+    saddle = sol.diagnostics["saddle"]
+    assert saddle["residuals"][-1] <= SolverConfig().saddle_tol
+    others = [r for r in sol.diagnostics["krylov"] if r["stage"] != "potential"]
+    assert {r["preconditioner"] for r in others} == {"jacobi"}
+    assert all("setup_s" not in r for r in others)
+
+
+def test_potential_keeps_jacobi_below_eps_h():
+    mesh = build_unit_cube_mesh(8)
+    sol = decoupled_solve(
+        smooth_case_fields(1e-4)["f"], mesh, SolverConfig(eps=1e-4), build_spaces(mesh)
+    )
+    potentials = [r for r in sol.diagnostics["krylov"] if r["stage"] == "potential"]
+    assert potentials and all(r["preconditioner"] == "jacobi" for r in potentials)
