@@ -289,16 +289,15 @@ def kuhn_parents(fine, coarse):
     cube, p = np.divmod(np.arange(fine.num_tets), 6)
     xyz = np.stack([cube % (2 * n), cube // (2 * n) % (2 * n), cube // (4 * n * n)], axis=1)
     offset = xyz % 2
-    # the child's centroid in its parent subcube's unit coordinates; the
-    # descending order of its coordinates is the parent's Kuhn permutation
-    walk = np.array([(3, 2, 1)]) / 4.0
-    centroid = np.empty((len(KUHN_PERMS), 3))
+    # the descending order of the child's centroid coordinates within its
+    # parent's subcube is the parent's Kuhn permutation
+    centroid = np.empty((6, 3))
+    index = np.empty((3, 3, 3), dtype=np.int64)
     for q, perm in enumerate(KUHN_PERMS):
-        centroid[q, list(perm)] = walk
-    order = np.argsort(-(offset + centroid[p]) / 2, axis=1)
-    code = {9 * a + 3 * b + c: q for q, (a, b, c) in enumerate(KUHN_PERMS)}
-    lookup = np.array([code.get(i, -1) for i in range(27)])
-    parent_p = lookup[order @ np.array([9, 3, 1])]
+        centroid[q, list(perm)] = (0.75, 0.5, 0.25)
+        index[perm] = q
+    order = np.argsort(-(offset + centroid[p]), axis=1)
+    parent_p = index[order[:, 0], order[:, 1], order[:, 2]]
     coarse_cube = (xyz // 2) @ np.array([1, n, n * n])
     return 6 * coarse_cube + parent_p, 6 * (offset @ np.array([1, 2, 4])) + p
 

@@ -526,7 +526,8 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     # once eps >= h the fourth-order part dominates the W potential and
     # Jacobi-CG counts grow like h^-2; below it they stay small, and a cold
     # hierarchy would cost more than it saves
-    multigrid = config.eps >= mesh.h and mesh.kuhn_n is not None and mesh.kuhn_n % 2 == 0
+    kuhn_even = mesh.kuhn_n is not None and mesh.kuhn_n % 2 == 0
+    multigrid = config.eps >= mesh.h and kuhn_even
     reduction = ReductionOperators(
         grad=_level_matrix("grad", mesh, dofmaps, forms),
         curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
