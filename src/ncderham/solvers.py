@@ -229,15 +229,19 @@ def _without_roundoff(A):
     return sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
-def _lanczos_max(A, inv_diag, steps=15):
-    """Largest eigenvalue of the Jacobi-scaled ``A`` by ``steps`` Lanczos
-    steps from a fixed start vector (a lower estimate, close at the top)."""
+LANCZOS_STEPS = 15  # per level of the V-cycle, for its Chebyshev bounds
+
+
+def _lanczos_max(A, inv_diag):
+    """Largest eigenvalue of the Jacobi-scaled ``A`` by ``LANCZOS_STEPS``
+    Lanczos steps from a fixed start vector (a lower estimate, close at the
+    top)."""
     scale = np.sqrt(inv_diag)
     v = np.random.default_rng(0).standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     v_prev, beta = np.zeros_like(v), 0.0
     alphas, betas = [], []
-    for _ in range(min(steps, A.shape[0])):
+    for _ in range(min(LANCZOS_STEPS, A.shape[0])):
         w = scale * (A @ (scale * v)) - beta * v_prev
         alpha = w @ v
         w -= alpha * v
@@ -471,13 +475,34 @@ def _level_matrix(kind, mesh, dofmaps, cache):
     return cache[kind].matrix
 
 
+def _kuhn_levels(n):
+    """The Kuhn hierarchy n, n/2, ..., halving while n is even and above 2."""
+    levels = [n]
+    while levels[-1] % 2 == 0 and levels[-1] > 2:
+        levels.append(levels[-1] // 2)
+    return levels
+
+
+def _takes_multigrid(mesh, eps):
+    """Whether the W potential on ``mesh`` is preconditioned by the V-cycle.
+
+    Where it pays, as measured (README, "Determinism and performance"): on
+    a Kuhn cube with n >= 16 and eps >= h / 10.  At n <= 8, or for smaller
+    eps, Jacobi-CG needs few enough iterations that the cold hierarchy
+    costs more than it saves.  The hierarchy must also halve down to
+    n <= 3, where the coarse sparse LU is small (n = 2^k or 3 * 2^k).
+    """
+    n = mesh.kuhn_n
+    return (n is not None and n >= 16 and _kuhn_levels(n)[-1] <= 3
+            and eps >= mesh.h / 10)
+
+
 def _w_transfers(mesh, dofmaps, cache):
-    """W transfers down the Kuhn hierarchy n, n/2, ..., halving while n is
-    even and above 2, finest first; built once per level ``cache``."""
+    """W transfers down the Kuhn hierarchy of ``mesh``, finest first; built
+    once per level ``cache``."""
     if "w_transfers" not in cache:
-        transfers, fine, n = [], dofmaps[W], mesh.kuhn_n
-        while n % 2 == 0 and n > 2:
-            n //= 2
+        transfers, fine = [], dofmaps[W]
+        for n in _kuhn_levels(mesh.kuhn_n)[1:]:
             coarse = asm.build_dof_map(W, build_unit_cube_mesh(n))
             transfers.append(prolongation(coarse, fine))
             fine = coarse
@@ -523,17 +548,15 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
     vols = asm.q_weights(mesh)
-    # once eps >= h the fourth-order part dominates the W potential and
-    # Jacobi-CG counts grow like h^-2; below it they stay small, and a cold
-    # hierarchy would cost more than it saves
-    kuhn_even = mesh.kuhn_n is not None and mesh.kuhn_n % 2 == 0
-    multigrid = config.eps >= mesh.h and kuhn_even
     reduction = ReductionOperators(
         grad=_level_matrix("grad", mesh, dofmaps, forms),
         curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
         grad_nd=_level_matrix("grad_nd", mesh, dofmaps, forms),
         rt_mass=_level_matrix("rt_mass", mesh, dofmaps, forms),
-        w_transfers=_w_transfers(mesh, dofmaps, forms) if multigrid else None,
+        w_transfers=(
+            _w_transfers(mesh, dofmaps, forms)
+            if _takes_multigrid(mesh, config.eps) else None
+        ),
     )
     t0 = time.perf_counter()
     try:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ncderham.cli import StudyConfig, run_study
-from ncderham.fields import fd_source_residual, smooth_case_fields
+from ncderham.fields import SOURCE_ORACLE_TOL, fd_source_residual, smooth_case_fields
 from ncderham.mesh import build_unit_cube_mesh
 from ncderham.quadrature import EDGE, TET, TRIANGLE, barycentric_monomial_mean, get_rule
 from ncderham.solvers import SolverConfig, build_spaces, decoupled_solve
@@ -229,8 +229,10 @@ def test_criterion_7_oracles():
     for eps in (1.0, 1e-2, 1e-6):
         data = smooth_case_fields(eps)
         dev = fd_source_residual(data["u"], data["f"], eps, npoints=50)
-        if dev > 1e-5:
-            failures.append(f"source oracle eps={eps:g}: deviation {dev:.2e} > 1e-5")
+        if dev > SOURCE_ORACLE_TOL:
+            failures.append(
+                f"source oracle eps={eps:g}: deviation {dev:.2e} > {SOURCE_ORACLE_TOL:g}"
+            )
     for kind, nbary, maxdeg in ((EDGE, 2, 7), (TRIANGLE, 3, 10), (TET, 4, 12)):
         for degree in range(maxdeg + 1):
             rule = get_rule(kind, degree)

@@ -6,6 +6,7 @@ import pytest
 from ncderham import fields
 from ncderham.fields import (
     AnalyticField,
+    SOURCE_ORACLE_TOL,
     fd_source_residual,
     fd_validate,
     layer_case_fields,
@@ -68,7 +69,7 @@ def test_fd_validate_layer_laplacian_identity():
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6])
 def test_source_matches_fd_oracle(eps):
     data = smooth_case_fields(eps)
-    assert fd_source_residual(data["u"], data["f"], eps) < 1e-5
+    assert fd_source_residual(data["u"], data["f"], eps) < SOURCE_ORACLE_TOL
 
 
 def test_source_oracle_checks_a_vanishing_source_at_roundoff_level():
@@ -76,9 +77,9 @@ def test_source_oracle_checks_a_vanishing_source_at_roundoff_level():
     and a wrong one fails."""
     u = _monomial((1, 1, 1))
     zero = AnalyticField("zero", 1, lambda X: np.zeros(X.shape[0]))
-    assert fd_source_residual(u, zero, 1e-2) < 1e-5
+    assert fd_source_residual(u, zero, 1e-2) < SOURCE_ORACLE_TOL
     wrong = AnalyticField("wrong", 1, lambda X: np.full(X.shape[0], 1e-3))
-    assert fd_source_residual(u, wrong, 1e-2) > 1e-5
+    assert fd_source_residual(u, wrong, 1e-2) > SOURCE_ORACLE_TOL
 
 
 def test_fd_oracle_detects_corruption():

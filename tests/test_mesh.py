@@ -148,6 +148,8 @@ def test_kuhn_refinement_is_nested(n):
     assert np.unique(cgeom.classes[parents] * 48 + slots).size == 48
     with pytest.raises(MeshIntegrityError):
         kuhn_parents(build_unit_cube_mesh(3), coarse)
+    assert fine.kuhn_n == 2 * n
+    assert build_mesh_from_tets(fine.vertices, fine.tets).kuhn_n is None
 
 
 def test_invalid_n():

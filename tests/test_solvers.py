@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ from ncderham.assembly import ND, PHI, W
 from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
 from ncderham.errors import compute_error, err_phi
-from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh
+from ncderham.mesh import build_unit_cube_mesh
 from ncderham.solvers import (
     ReductionOperators,
     SolverConfig,
@@ -350,11 +352,16 @@ def test_vcycle_on_one_level_is_the_direct_solve(setup2):
 
 @pytest.fixture(scope="module")
 def stiff_n8():
-    """The n=8, eps=1 smooth case on the multigrid route."""
+    """The n=8, eps=1 smooth case with the W potential forced onto the
+    multigrid route (n=8 is below the size where it pays, so production
+    solves take Jacobi there)."""
     mesh = build_unit_cube_mesh(8)
     maps = build_spaces(mesh)
     data = smooth_case_fields(1.0)
-    return mesh, data, decoupled_solve(data["f"], mesh, SolverConfig(eps=1.0), maps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_takes_multigrid", lambda mesh, eps: True)
+        sol = decoupled_solve(data["f"], mesh, SolverConfig(eps=1.0), maps)
+    return mesh, data, sol
 
 
 def _errors(sol, data, eps):
@@ -366,12 +373,10 @@ def _errors(sol, data, eps):
 
 
 def test_multigrid_and_jacobi_routes_agree(stiff_n8):
-    """The same tets without the Kuhn record take Jacobi; both routes give
-    the same errors."""
+    """Left to the selection, n=8 takes Jacobi; both routes give the same
+    errors."""
     mesh, data, sol = stiff_n8
-    plain = build_mesh_from_tets(mesh.vertices, mesh.tets)
-    assert plain.kuhn_n is None
-    jac = decoupled_solve(data["f"], plain, SolverConfig(eps=1.0), build_spaces(plain))
+    jac = decoupled_solve(data["f"], mesh, SolverConfig(eps=1.0), build_spaces(mesh))
     potentials = [r for r in jac.diagnostics["krylov"] if r["stage"] == "potential"]
     assert {r["preconditioner"] for r in potentials} == {"jacobi"}
     mg, ref = _errors(sol, data, 1.0), _errors(jac, data, 1.0)
@@ -397,7 +402,25 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
     assert all("setup_s" not in r for r in others)
 
 
-def test_potential_keeps_jacobi_below_eps_h():
+@pytest.mark.parametrize("n, eps, expected", [
+    (16, 1.0, True),    # 16 -> 8 -> 4 -> 2
+    (24, 1.0, True),    # 24 -> 12 -> 6 -> 3
+    (32, 1e-2, True),   # eps / h = 0.18
+    (16, 1e-2, False),  # eps / h = 0.09, where the two routes tie
+    (8, 1.0, False),    # too small for the hierarchy to pay
+    (18, 1.0, False),   # 18 -> 9: the coarse LU would be large
+    (20, 1.0, False),   # 20 -> 10 -> 5
+    (17, 1.0, False),
+    (None, 1.0, False),  # not a Kuhn cube (build_mesh_from_tets)
+])
+def test_multigrid_selection(n, eps, expected):
+    """The V-cycle runs on Kuhn cubes with n >= 16 whose hierarchy halves
+    down to n <= 3, once eps >= h / 10; decided without building a level."""
+    mesh = types.SimpleNamespace(kuhn_n=n, h=3**0.5 / (n or 16))
+    assert solvers._takes_multigrid(mesh, eps) == expected
+
+
+def test_potential_keeps_jacobi_at_small_eps():
     mesh = build_unit_cube_mesh(8)
     sol = decoupled_solve(
         smooth_case_fields(1e-4)["f"], mesh, SolverConfig(eps=1e-4), build_spaces(mesh)
