@@ -32,6 +32,7 @@ SPACE_ELEMENT = {
 }
 
 _CHUNK = 1024
+_SCATTER_CHUNK = 8192
 
 
 class AssemblyError(Exception):
@@ -183,7 +184,7 @@ _SYMMETRIC_KINDS = {
     "rt_mass",
 }
 
-_DEFAULT_DEGREE = {
+_FORM_DEGREE = {
     "poisson_p2": 2,
     "phi_stiffness": 8,
     "phi_mass": 8,
@@ -194,7 +195,7 @@ _DEFAULT_DEGREE = {
 }
 
 
-def assemble_bilinear(kind, mesh, dofmaps, quad_degree=None, chunk=_CHUNK):
+def assemble_bilinear(kind, mesh, dofmaps):
     """Assemble one of the discrete bilinear forms as a sparse matrix.
 
     ``dofmaps`` maps space tags to DofMap objects (must share ``mesh``).
@@ -212,14 +213,13 @@ def assemble_bilinear(kind, mesh, dofmaps, quad_degree=None, chunk=_CHUNK):
             raise AssemblyError(f"DofMap for {s!r} built on a different mesh")
     rmap, cmap = dofmaps[rs], dofmaps[cs]
     geom = mesh_geometry(mesh)
-    degree = _DEFAULT_DEGREE.get(kind, 2) if quad_degree is None else quad_degree
 
     # local matrices once per translation class, then scatter per tet
     rep = geom.rep_geometry if geom.rep_geometry is not None else geom
     pieces = []
-    for lo in range(0, rep.num_tets, chunk):
-        tids = np.arange(lo, min(lo + chunk, rep.num_tets))
-        pieces.append(_local_form(kind, rep.take(tids), degree))
+    for lo in range(0, rep.num_tets, _CHUNK):
+        tids = np.arange(lo, min(lo + _CHUNK, rep.num_tets))
+        pieces.append(_local_form(kind, rep.take(tids)))
     local_reps = np.concatenate(pieces, axis=0)
     local = (
         local_reps[geom.classes]
@@ -229,9 +229,8 @@ def assemble_bilinear(kind, mesh, dofmaps, quad_degree=None, chunk=_CHUNK):
 
     nT = mesh.num_tets
     blocks = []
-    scatter_chunk = max(chunk, 8192)
-    for lo in range(0, nT, scatter_chunk):
-        tids = np.arange(lo, min(lo + scatter_chunk, nT))
+    for lo in range(0, nT, _SCATTER_CHUNK):
+        tids = np.arange(lo, min(lo + _SCATTER_CHUNK, nT))
         blocks.append(
             _accumulate(
                 rmap.cell_table[tids], cmap.cell_table[tids], local[tids],
@@ -246,8 +245,8 @@ def assemble_bilinear(kind, mesh, dofmaps, quad_degree=None, chunk=_CHUNK):
     return AssembledForm(mat.tocsr(), rs, cs, kind)
 
 
-def _local_form(kind, g, degree):
-    rule = get_rule(TET, degree)
+def _local_form(kind, g):
+    rule = get_rule(TET, _FORM_DEGREE.get(kind, 2))
     w, pts = rule.weights, rule.points
     if kind == "poisson_p2":
         grads = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
@@ -312,7 +311,7 @@ _LOAD_TEST = {
 }
 
 
-def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
+def assemble_load(kind, mesh, dofmaps, data):
     """Assemble a load vector.
 
     ``data`` is an analytic scalar field for ``f_vs_p2`` and a discrete
@@ -324,8 +323,7 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
     if space not in dofmaps or dofmaps[space].mesh is not mesh:
         raise AssemblyError(f"missing or mismatched DofMap for space {space!r}")
     target = dofmaps[space]
-    degree = _LOAD_DEGREE[kind] if quad_degree is None else quad_degree
-    rule = get_rule(TET, degree)
+    rule = get_rule(TET, _LOAD_DEGREE[kind])
     w, pts = rule.weights, rule.points
 
     if kind != "f_vs_p2":
@@ -356,8 +354,8 @@ def assemble_load(kind, mesh, dofmaps, data, quad_degree=None, chunk=_CHUNK):
         weighted = np.ascontiguousarray(weighted.reshape(nc, nd, -1).transpose(0, 2, 1))
     out = np.zeros(target.dim)
     nT = mesh.num_tets
-    for lo in range(0, nT, chunk):
-        tids = np.arange(lo, min(lo + chunk, nT))
+    for lo in range(0, nT, _CHUNK):
+        tids = np.arange(lo, min(lo + _CHUNK, nT))
         if kind == "f_vs_p2":
             phys = np.matmul(pts, geom.vertices[tids])
             vals = np.asarray(data.value(phys.reshape(-1, 3))).reshape(phys.shape[:2])

@@ -7,6 +7,7 @@ Exit codes: 0 all requested runs/checks passed, 1 numeric failure,
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -123,6 +124,8 @@ def run_study(config, log=print):
                 else:
                     data = layer_case_fields()
                     exact_u, exact_phi, f = data["u0"], data["phi0"], data["f"]
+                # one entry per level; a failed level has no row and NaN
+                # errors, so no rate spans it
                 errs = {"phi": [], "ul2": [], "uh1": []}
                 level_rows = []
                 for n in config.levels:
@@ -142,6 +145,9 @@ def run_study(config, log=print):
                     except SolverFailure as exc:
                         failures += 1
                         log(f"FAIL {test}/{method} eps={eps:g} n={n}: {exc}")
+                        level_rows.append(None)
+                        for values in errs.values():
+                            values.append(math.nan)
                         continue
                     seconds = time.perf_counter() - t0
                     if method == "interp":
@@ -197,8 +203,9 @@ def run_study(config, log=print):
                 ):
                     rates = convergence_rates(errs[key])
                     for row, rate in zip(level_rows, rates):
-                        setattr(row, attr, rate)
-                rows.extend(level_rows)
+                        if row is not None:
+                            setattr(row, attr, rate)
+                rows.extend(row for row in level_rows if row is not None)
     return ConvergenceReport(rows), failures
 
 
@@ -242,21 +249,18 @@ def run_verify(config, log=print):
 def _write_outputs(report, config):
     import pathlib
 
-    payloads = {}
     if isinstance(report, ConvergenceReport):
-        if "csv" in config.formats:
-            payloads["study.csv"] = report.to_csv()
-        if "markdown" in config.formats:
-            payloads["study.md"] = report.to_markdown()
-        if "json" in config.formats:
-            payloads["study.json"] = report.to_json()
+        writers = {"csv": ("study.csv", report.to_csv),
+                   "markdown": ("study.md", report.to_markdown),
+                   "json": ("study.json", report.to_json)}
+        payloads = {name: write() for name, write in map(writers.get, config.formats)}
     else:
-        payloads["verify.txt"] = report.to_text()
+        payloads = {"verify.txt": report.to_text()}
         if "json" in config.formats:
             payloads["verify.json"] = report.to_json()
     if config.out is None:
-        name = "study.csv" if isinstance(report, ConvergenceReport) else "verify.txt"
-        sys.stdout.write(payloads[name])
+        # the first payload: the first requested study format, or verify.txt
+        sys.stdout.write(next(iter(payloads.values()), ""))
         return
     outdir = pathlib.Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -336,7 +340,9 @@ def main(argv=None):
             if config.out is not None:
                 print(report.to_text(), end="")
             return 0 if report.passed else 1
-        report, failures = run_study(config)
+        # with no --out the report itself goes to stdout, the progress to stderr
+        stream = sys.stdout if config.out is not None else sys.stderr
+        report, failures = run_study(config, lambda msg: print(msg, file=stream))
         _write_outputs(report, config)
         return 0 if failures == 0 else 1
     except (SolverFailure, MemoryError) as exc:

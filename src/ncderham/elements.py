@@ -9,9 +9,11 @@ space P2 plus bubble times linears.
 All bases are built directly on the physical element in barycentric form.
 Degrees of freedom use the mesh-global entity orientations carried by the
 geometry bundle (ascending-id tangents and normals), so shared DoFs are
-single-valued across elements without sign tables.  Functions are batched
-over tets: ``bary`` arguments have shape (P, 4) for shared points or
-(nT, P, 4) for per-tet points.
+single-valued across elements without sign tables.  One routine,
+``dof_values``, applies them: to shape monomials for the nodal bases and the
+multigrid transfers, and to analytic fields for canonical interpolation.
+Functions are batched over tets: ``bary`` arguments have shape (P, 4) for
+shared points or (nT, P, 4) for per-tet points.
 """
 
 import numpy as np
@@ -208,28 +210,20 @@ def rt_divergences(geom):
     return div
 
 
-def edge_quad_bary(geom, degree=EDGE_DOF_DEGREE):
-    """Edge-rule points embedded in tet barycentric coords, (T, 6, q, 4)."""
-    rule = get_rule(EDGE, degree)
-    T = geom.edge_vertices.shape[0]
-    q = rule.npoints
-    bary = np.zeros((T, 6, q, 4))
-    for c in range(2):
-        idx = np.broadcast_to(geom.edge_vertices[:, :, c, None, None], (T, 6, q, 1))
-        np.put_along_axis(bary, idx, rule.points[None, None, :, c, None], axis=3)
-    return bary, rule
+def embed_rule(rule, local_vertices):
+    """Points of an edge or triangle rule in tet barycentric coordinates.
 
-
-def face_quad_bary(geom, degree=FACE_DOF_DEGREE):
-    """Face-rule points embedded in tet barycentric coords, (T, 4, q, 4)."""
-    rule = get_rule(TRIANGLE, degree)
-    T = geom.face_vertices.shape[0]
+    ``local_vertices`` (..., c) lists, for each entity, the local tet
+    vertices that carry the rule's c barycentric coordinates; returns
+    (..., q, 4).
+    """
+    lead = local_vertices.shape[:-1]
     q = rule.npoints
-    bary = np.zeros((T, 4, q, 4))
-    for c in range(3):
-        idx = np.broadcast_to(geom.face_vertices[:, :, c, None, None], (T, 4, q, 1))
-        np.put_along_axis(bary, idx, rule.points[None, None, :, c, None], axis=3)
-    return bary, rule
+    bary = np.zeros(lead + (q, 4))
+    for c in range(local_vertices.shape[-1]):
+        idx = np.broadcast_to(local_vertices[..., c, None, None], lead + (q, 1))
+        np.put_along_axis(bary, idx, rule.points[:, c, None], axis=-1)
+    return bary
 
 
 def _edge_moments(geom, values, rule):
@@ -263,55 +257,70 @@ def _edge_integrals(geom, values, rule):
 _VERTEX_BARY = np.eye(4)
 
 
-def dof_matrix(kind, geom, edge_degree=EDGE_DOF_DEGREE, tri_degree=FACE_DOF_DEGREE,
-               parent=None):
+def dof_values(kind, geom, values, gradients=None, edge_degree=EDGE_DOF_DEGREE,
+               tri_degree=FACE_DOF_DEGREE, tet_degree=6):
+    """Apply the element's DoF functionals to m functions, (T, nd, m).
+
+    ``values(bary)`` maps per-tet barycentric points (T, P, 4) of ``geom``
+    to the functions there, (T, P, m) for scalar kinds or (T, P, m, 3) for
+    vector kinds; ``gradients(bary)``, (T, P, m, 3), feeds the
+    normal-derivative face DoFs of the continuous scalar element.  The DoFs
+    come in layout order: vertex values, edge integrals (scalar kinds) or
+    edge moments (vector kinds), face normal integrals, the cell mean.
+    """
+    T = geom.num_tets
+    vector = KIND_INFO[kind]["arity"] == 3
+    layout = KIND_INFO[kind]["layout"]
+    blocks = []
+    if layout[0]:
+        blocks.append(values(np.broadcast_to(_VERTEX_BARY, (T, 4, 4))))
+    if layout[1]:
+        rule = get_rule(EDGE, edge_degree)
+        q = rule.npoints
+        vals = values(embed_rule(rule, geom.edge_vertices).reshape(T, 6 * q, 4))
+        vals = vals.reshape((T, 6, q, -1) + (3,) * vector)
+        blocks.append((_edge_moments if vector else _edge_integrals)(geom, vals, rule))
+    if layout[2]:
+        rule = get_rule(TRIANGLE, tri_degree)
+        q = rule.npoints
+        bary = embed_rule(rule, geom.face_vertices).reshape(T, 4 * q, 4)
+        if kind != W_NC:
+            vals = values(bary)
+        elif gradients is None:
+            raise CapabilityError("normal-derivative DoFs need gradients")
+        else:
+            vals = gradients(bary)
+        blocks.append(_face_normal_integrals(geom, vals.reshape(T, 4, q, -1, 3), rule))
+    if layout[3]:
+        rule = get_rule(TET, tet_degree)
+        vals = values(np.broadcast_to(rule.points, (T,) + rule.points.shape))
+        blocks.append(np.einsum("q,tqu->tu", rule.weights, vals)[:, None])
+    return np.concatenate(blocks, axis=1)
+
+
+def dof_matrix(kind, geom, parent=None):
     """Generalized Vandermonde V[i, j] = DoF_i(shape monomial j), (T, nd, nd).
 
     With ``parent``, a geometry bundle of one tet per tet of ``geom``
     containing it, the DoFs of ``geom`` are applied to the shape monomials
     of the parent instead.
     """
-    T = geom.grad_lambda.shape[0]
-    if kind == P0:
-        return np.ones((T, 1, 1))
     source = geom if parent is None else parent
 
-    def source_bary(bary):
-        bary = _as_batched(geom, bary)
-        if parent is None:
-            return bary
-        x = np.einsum("tpi,tij->tpj", bary, geom.vertices) - parent.vertices[:, None, 0]
-        lam = np.einsum("tpj,tij->tpi", x, parent.grad_lambda)
-        lam[..., 0] += 1.0
-        return lam
+    def monomials(evaluate):
+        def at(bary):
+            if parent is not None:
+                x = np.einsum("tpi,tij->tpj", bary, geom.vertices)
+                x -= parent.vertices[:, None, 0]
+                bary = np.einsum("tpj,tij->tpi", x, parent.grad_lambda)
+                bary[..., 0] += 1.0
+            return evaluate(kind, source, bary)
+        return at
 
-    blocks = []
-    layout = KIND_INFO[kind]["layout"]
-    if layout[0]:
-        vals = shape_values(kind, source, source_bary(_VERTEX_BARY))  # (T, 4, nd)
-        blocks.append(vals)
-    if layout[1]:
-        ebary, erule = edge_quad_bary(geom, edge_degree)
-        q = erule.npoints
-        flat = source_bary(ebary.reshape(T, 6 * q, 4))
-        vals = shape_values(kind, source, flat)
-        if KIND_INFO[kind]["arity"] == 3:
-            vals = vals.reshape(T, 6, q, -1, 3)
-            blocks.append(_edge_moments(geom, vals, erule))
-        else:
-            vals = vals.reshape(T, 6, q, -1)
-            blocks.append(_edge_integrals(geom, vals, erule))
-    if layout[2]:
-        fbary, frule = face_quad_bary(geom, tri_degree)
-        q = frule.npoints
-        flat = source_bary(fbary.reshape(T, 4 * q, 4))
-        if kind == W_NC:
-            grads = shape_gradients(kind, source, flat).reshape(T, 4, q, -1, 3)
-            blocks.append(_face_normal_integrals(geom, grads, frule))
-        else:
-            vals = shape_values(kind, source, flat).reshape(T, 4, q, -1, 3)
-            blocks.append(_face_normal_integrals(geom, vals, frule))
-    return np.concatenate(blocks, axis=1)
+    # the one-point rule (weight exactly 1) keeps P0's matrix exactly one
+    return dof_values(
+        kind, geom, monomials(shape_values), monomials(shape_gradients), tet_degree=0
+    )
 
 
 def transfer_matrices(kind, geom, parent):
@@ -322,7 +331,11 @@ def transfer_matrices(kind, geom, parent):
     return dof_matrix(kind, geom, parent=parent) @ nodal_coefficients(kind, parent)
 
 
-def nodal_coefficients(kind, geom, chunk=4096):
+# tets per batched inversion of the DoF matrices
+_INVERT_CHUNK = 4096
+
+
+def nodal_coefficients(kind, geom):
     """Coefficient matrices C with DoF_i(sum_j C[j,k] mono_j) = delta_ik.
 
     Cached on the geometry bundle; on translation-structured meshes only
@@ -330,7 +343,7 @@ def nodal_coefficients(kind, geom, chunk=4096):
     """
     rep = getattr(geom, "rep_geometry", None)
     if rep is not None and rep.num_tets < geom.num_tets:
-        return nodal_coefficients(kind, rep, chunk)[geom.classes]
+        return nodal_coefficients(kind, rep)[geom.classes]
     cache = getattr(geom, "_nodal_cache", None)
     if cache is None:
         cache = {}
@@ -340,8 +353,8 @@ def nodal_coefficients(kind, geom, chunk=4096):
     T = geom.grad_lambda.shape[0]
     nd = KIND_INFO[kind]["dim"]
     C = np.empty((T, nd, nd))
-    for lo in range(0, T, chunk):
-        sl = slice(lo, min(lo + chunk, T))
+    for lo in range(0, T, _INVERT_CHUNK):
+        sl = slice(lo, min(lo + _INVERT_CHUNK, T))
         V = dof_matrix(kind, geom.take(np.arange(sl.start, sl.stop)))
         try:
             C[sl] = np.linalg.inv(V)
@@ -416,60 +429,25 @@ def class_matmul(classes, lhs, tables):
     return out
 
 
-def apply_dofs(kind, geom, field, edge_degree=None, tri_degree=None, tet_degree=6):
+def apply_dofs(kind, geom, field, edge_degree=EDGE_DOF_DEGREE,
+               tri_degree=FACE_DOF_DEGREE, tet_degree=6):
     """Apply the element's DoF functionals to an analytic field, (T, nd).
 
     ``field`` provides ``value(points)`` (and ``gradient(points)`` for the
     normal-derivative DoFs of the continuous scalar element).
     """
-    T = geom.grad_lambda.shape[0]
-    arity = KIND_INFO[kind]["arity"]
-    layout = KIND_INFO[kind]["layout"]
-    edge_degree = EDGE_DOF_DEGREE if edge_degree is None else edge_degree
-    tri_degree = FACE_DOF_DEGREE if tri_degree is None else tri_degree
+    def at_points(fn, tail):
+        def evaluate(bary):
+            pts = np.einsum("tpi,tij->tpj", bary, geom.vertices)
+            return np.asarray(fn(pts.reshape(-1, 3))).reshape(bary.shape[:2] + tail)
+        return evaluate
 
-    def field_at(bary, fn):
-        pts = np.einsum("tpi,tij->tpj", bary, geom.vertices)
-        flat = fn(pts.reshape(-1, 3))
-        return np.asarray(flat).reshape(bary.shape[:2] + ((3,) if arity == 3 else ()))
-
-    if kind == P0:
-        rule = get_rule(TET, tet_degree)
-        bary = np.broadcast_to(rule.points, (T,) + rule.points.shape)
-        vals = field_at(bary, field.value)
-        return np.einsum("q,tq->t", rule.weights, vals)[:, None]
-
-    blocks = []
-    if layout[0]:
-        bary = np.broadcast_to(_VERTEX_BARY, (T, 4, 4))
-        blocks.append(field_at(bary, field.value))
-    if layout[1]:
-        ebary, erule = edge_quad_bary(geom, edge_degree)
-        q = erule.npoints
-        vals = field_at(ebary.reshape(T, 6 * q, 4), field.value)
-        if arity == 3:
-            vals = vals.reshape(T, 6, q, 1, 3)
-            blocks.append(_edge_moments(geom, vals, erule)[:, :, 0])
-        else:
-            vals = vals.reshape(T, 6, q, 1)
-            blocks.append(_edge_integrals(geom, vals, erule)[:, :, 0])
-    if layout[2]:
-        fbary, frule = face_quad_bary(geom, tri_degree)
-        q = frule.npoints
-        if kind == W_NC:
-            grad_fn = getattr(field, "gradient", None)
-            if grad_fn is None:
-                raise CapabilityError(
-                    "normal-derivative DoFs need field.gradient"
-                )
-            pts = np.einsum("tfqi,tij->tfqj", fbary, geom.vertices)
-            g = np.asarray(grad_fn(pts.reshape(-1, 3))).reshape(T, 4, q, 1, 3)
-            blocks.append(_face_normal_integrals(geom, g, frule)[:, :, 0])
-        else:
-            vals = field_at(fbary.reshape(T, 4 * q, 4), field.value)
-            vals = vals.reshape(T, 4, q, 1, 3)
-            blocks.append(_face_normal_integrals(geom, vals, frule)[:, :, 0])
-    return np.concatenate(blocks, axis=1)
+    gradient = getattr(field, "gradient", None)
+    values = at_points(field.value, (1, 3) if KIND_INFO[kind]["arity"] == 3 else (1,))
+    gradients = None if gradient is None else at_points(gradient, (1, 3))
+    return dof_values(
+        kind, geom, values, gradients, edge_degree, tri_degree, tet_degree
+    )[:, :, 0]
 
 
 def unisolvence_check(kind, geom):

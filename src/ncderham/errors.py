@@ -35,7 +35,7 @@ def _exact_at(exact, attr, phys):
     return np.asarray(fn(phys.reshape(-1, 3))).reshape(phys.shape[:2] + (-1,))
 
 
-def compute_error(kind, fe, exact, quad_degree=8, chunk=_CHUNK):
+def compute_error(kind, fe, exact, quad_degree=8):
     """L2 / broken-H1 distance between a discrete and an analytic field.
 
     ``l2_vs_ind`` measures the edge interpolant of a Phi function.
@@ -52,8 +52,8 @@ def compute_error(kind, fe, exact, quad_degree=8, chunk=_CHUNK):
 
     total = 0.0
     nT = mesh.num_tets
-    for lo in range(0, nT, chunk):
-        tids = np.arange(lo, min(lo + chunk, nT))
+    for lo in range(0, nT, _CHUNK):
+        tids = np.arange(lo, min(lo + _CHUNK, nT))
         phys = np.matmul(pts, geom.vertices[tids])
         vals = evaluate(fe, pts, tids)
         ex = _exact_at(exact, attr, phys).reshape(vals.shape)
@@ -79,7 +79,8 @@ def err_phi_plain(fe_phi, exact_phi, eps, quad_degree=8):
 
 
 def convergence_rates(errors, levels=None):
-    """log2 ratios between consecutive errors; first entry is None.
+    """log2 ratios between consecutive errors; the first entry, and any rate
+    next to a nonpositive or NaN error, is None.
 
     ``levels``, when given, must halve h (double n) at every step.
     """

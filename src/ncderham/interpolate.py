@@ -33,9 +33,6 @@ class FeFunction:
     def space(self):
         return self.dofmap.space
 
-    def copy(self):
-        return FeFunction(self.dofmap, self.coeffs.copy())
-
 
 @dataclass
 class OperatorMatrix:

@@ -312,7 +312,7 @@ def _perm_parity(perm):
     return -1 if inv % 2 else 1
 
 
-def mesh_geometry(mesh, check=True):
+def mesh_geometry(mesh):
     """Batched affine geometry for all tets; cached on the mesh object."""
     cached = getattr(mesh, "_geometry", None)
     if cached is not None:
@@ -320,7 +320,7 @@ def mesh_geometry(mesh, check=True):
     X = mesh.vertices[mesh.tets]  # (nT, 4, 3)
     E = X[:, 1:4, :] - X[:, 0:1, :]  # (nT, 3, 3) rows are edge vectors
     det = np.linalg.det(E)
-    if check and np.any(det <= 0):
+    if np.any(det <= 0):
         bad = int(np.argmin(det))
         raise DegenerateGeometryError(
             f"tet {bad} has nonpositive volume {det[bad] / 6.0:g}"

@@ -81,7 +81,6 @@ def face_jump_means(fe):
     mesh = fe.dofmap.mesh
     ids = np.flatnonzero(~mesh.boundary_face)
     rule = get_rule(TRIANGLE, 6)
-    q = rule.npoints
     tri = mesh.vertices[mesh.faces[ids]]
     areas = 0.5 * np.linalg.norm(
         np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
@@ -92,14 +91,7 @@ def face_jump_means(fe):
         tids = mesh.face_to_tets[ids, s]
         lf = np.argmax(mesh.tet_to_faces[tids] == ids[:, None], axis=1)
         fverts = mesh.tet_face_vertices[tids, lf]  # (nf, 3) local indices
-        bary = np.zeros((ids.size, q, 4))
-        for c in range(3):
-            np.put_along_axis(
-                bary,
-                np.broadcast_to(fverts[:, c, None, None], (ids.size, q, 1)),
-                rule.points[None, :, c, None],
-                axis=2,
-            )
+        bary = el.embed_rule(rule, fverts[:, None])[:, 0]
         vals = fe_values(fe, bary, tids)
         sides.append(np.einsum("q,tq...->t...", rule.weights, vals))
     return (sides[0] - sides[1]) * areas.reshape((-1,) + (1,) * (sides[0].ndim - 1))
@@ -192,18 +184,9 @@ def check_commuting(mesh, report=None, tol=1e-10):
     Cphi = el.nodal_coefficients(el.PHI_NC, geom)
 
     # Phi DoFs applied to gradients of the W shape monomials (exact degrees)
-    T = mesh.num_tets
-    ebary, erule = el.edge_quad_bary(geom)
-    q = erule.npoints
-    gw = el.shape_gradients(el.W_NC, geom, ebary.reshape(T, 6 * q, 4))
-    gw = gw.reshape(T, 6, q, -1, 3)
-    moments = el._edge_moments(geom, gw, erule)
-    fbary, frule = el.face_quad_bary(geom)
-    qf = frule.npoints
-    gwf = el.shape_gradients(el.W_NC, geom, fbary.reshape(T, 4 * qf, 4))
-    gwf = gwf.reshape(T, 4, qf, -1, 3)
-    fluxes = el._face_normal_integrals(geom, gwf, frule)
-    B = np.concatenate([moments, fluxes], axis=1)  # (T, 16, 14)
+    B = el.dof_values(
+        el.PHI_NC, geom, lambda bary: el.shape_gradients(el.W_NC, geom, bary)
+    )  # (T, 16, 14)
 
     worst_grad = 0.0
     for alpha in _p3_alphas():

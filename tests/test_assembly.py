@@ -101,7 +101,7 @@ def test_curl_coupling_equals_rtmass_times_curl_matrix(mesh2, maps2):
 
 def test_load_constant_matches_exact_integrals(mesh2, maps2):
     const = AnalyticField("one", 1, lambda X: np.ones(X.shape[0]))
-    load = asm.assemble_load("f_vs_p2", mesh2, maps2, const, quad_degree=4)
+    load = asm.assemble_load("f_vs_p2", mesh2, maps2, const)
     # oracle: integral of each nodal basis function from exact monomial means
     geom = mesh_geometry(mesh2)
     C = el.nodal_coefficients(el.LAGRANGE_P2, geom)

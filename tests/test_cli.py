@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from ncderham.cli import ConfigError, StudyConfig, main, run_study, run_verify
-from ncderham.solvers import SolverConfig
+from ncderham.solvers import SolverConfig, SolverFailure
 
 
 def test_config_validation():
@@ -129,3 +130,38 @@ def test_cli_verify_exit_code(tmp_path):
     assert (out / "verify.txt").exists()
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is True
+
+
+def test_study_without_out_writes_first_requested_format(capsys):
+    assert main(["--levels", "1", "--format", "markdown", "--serial"]) == 0
+    assert capsys.readouterr().out.startswith("| test ")
+    assert main(["--levels", "1", "--format", "json,csv", "--serial"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["n"] == 1
+
+
+def test_rates_skip_a_failed_level(monkeypatch):
+    """A rate is given only between consecutive levels that both solved."""
+    import ncderham.cli as cli
+
+    real_solve = cli.decoupled_solve
+
+    def study_failing_at(n_fail):
+        def solve(f, mesh, *args):
+            if mesh.kuhn_n == n_fail:
+                raise SolverFailure("forced failure")
+            return real_solve(f, mesh, *args)
+
+        monkeypatch.setattr(cli, "decoupled_solve", solve)
+        cfg = StudyConfig(levels=(1, 2, 4), serial=True)
+        report, failures = run_study(cfg, log=lambda *a: None)
+        assert failures == 1
+        return report.rows
+
+    rows = study_failing_at(2)
+    assert [r.n for r in rows] == [1, 4]
+    for r in rows:
+        assert r.rate_phi is None and r.rate_u_l2 is None and r.rate_u_h1 is None
+    rows = study_failing_at(1)
+    assert [r.n for r in rows] == [2, 4]
+    assert rows[0].rate_phi is None
+    assert rows[1].rate_u_l2 == math.log2(rows[0].err_u_l2 / rows[1].err_u_l2)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ncderham import elements as el
+from ncderham.fields import AnalyticField
 from ncderham.mesh import build_mesh_from_tets, mesh_geometry, tet_geometry
+from ncderham.quadrature import TRIANGLE, get_rule
 
 ALL_KINDS = [el.LAGRANGE_P2, el.NEDELEC2, el.RT0, el.P0, el.PHI_NC, el.W_NC]
 
@@ -185,6 +187,25 @@ def test_shape_space_member_reproduced_through_dofs():
         assert np.abs(recovered - c).max() < 1e-10 * max(1.0, np.abs(c).max())
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dofs_of_nodal_basis_through_field_adapter(kind):
+    """The DoFs of each nodal basis function, passed as an analytic field at
+    physical points, form its unit vector: the field adapter of apply_dofs
+    agrees with the shape-monomial route that built the basis."""
+    mesh = random_shape_regular_tet(np.random.default_rng(31))
+    geom = mesh_geometry(mesh)
+    bary = AffineBary(mesh)
+    nd = el.KIND_INFO[kind]["dim"]
+    for j in range(nd):
+        field = AnalyticField(
+            "basis", el.KIND_INFO[kind]["arity"],
+            lambda X, j=j: el.nodal_values(kind, geom, bary(X)[None])[0, :, j],
+            gradient=lambda X, j=j: el.nodal_gradients(kind, geom, bary(X)[None])[0, :, j],
+        )
+        dofs = el.apply_dofs(kind, geom, field)[0]
+        assert np.abs(dofs - np.eye(nd)[j]).max() < 1e-10
+
+
 def test_unisolvence_on_random_tets():
     rng = np.random.default_rng(23)
     conds_phi, conds_w = [], []
@@ -211,7 +232,8 @@ def test_unisolvence_proof_moment_matrix():
     rng = np.random.default_rng(29)
     mesh = random_shape_regular_tet(rng)
     geom = mesh_geometry(mesh)
-    fbary, frule = el.face_quad_bary(geom, 4)
+    frule = get_rule(TRIANGLE, 4)
+    fbary = el.embed_rule(frule, geom.face_vertices)
     M = np.zeros((4, 4))
     for i in range(4):
         lam = fbary[0, i]  # (q, 4), coordinate i vanishes on face i

@@ -15,7 +15,7 @@ from ncderham.interpolate import (
     prolongation,
 )
 from ncderham.mesh import build_unit_cube_mesh, kuhn_parents, mesh_geometry
-from ncderham.quadrature import TET, get_rule
+from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,8 @@ def test_ind_matches_quadrature_edge_moments(mesh2, maps2):
     c = rng.standard_normal(maps2[PHI].dim)
     fe = FeFunction(maps2[PHI], c)
     geom = mesh_geometry(mesh2)
-    ebary, erule = el.edge_quad_bary(geom)
+    erule = get_rule(EDGE, el.EDGE_DOF_DEGREE)
+    ebary = el.embed_rule(erule, geom.edge_vertices)
     T = mesh2.num_tets
     q = erule.npoints
     vals = np.einsum(
@@ -165,7 +166,8 @@ def test_grad_matrix_matches_quadrature(mesh2, maps2):
     geom = mesh_geometry(mesh2)
     local_w = asm.gather_coefficients(maps2[W], c)
     # edge moments of grad w by quadrature
-    ebary, erule = el.edge_quad_bary(geom)
+    erule = get_rule(EDGE, el.EDGE_DOF_DEGREE)
+    ebary = el.embed_rule(erule, geom.edge_vertices)
     T = mesh2.num_tets
     q = erule.npoints
     gw = np.einsum(
@@ -174,7 +176,8 @@ def test_grad_matrix_matches_quadrature(mesh2, maps2):
         el.nodal_gradients(el.W_NC, geom, ebary.reshape(T, 6 * q, 4)),
     ).reshape(T, 6, q, 1, 3)
     moments = el._edge_moments(geom, gw, erule)[:, :, 0]
-    fbary, frule = el.face_quad_bary(geom)
+    frule = get_rule(TRIANGLE, el.FACE_DOF_DEGREE)
+    fbary = el.embed_rule(frule, geom.face_vertices)
     qf = frule.npoints
     gwf = np.einsum(
         "tj,tpja->tpa",

@@ -85,7 +85,7 @@ def test_solve_spd_contract_residual(setup2):
     S = asm.assemble_bilinear("poisson_p2", mesh, maps).matrix
     data = smooth_case_fields(1.0)
     # f = 3 pi^2 sin sin sin corresponds to the layer source; any smooth rhs works
-    b = asm.assemble_load("f_vs_p2", mesh, maps, data["f"], quad_degree=10)
+    b = asm.assemble_load("f_vs_p2", mesh, maps, data["f"])
     x = solve_spd(S, b, cfg)
     assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b) * 10
 
