@@ -36,8 +36,9 @@ from .verify import (
 )
 
 
-# the deterministic part of each inner solve's record that study.json keeps
-KRYLOV_SUMMARY = ("stage", "sweep", "iterations", "reason")
+# the deterministic part of each inner solve's record that study.json keeps;
+# only a multigrid record has coarse_dims, so it names the route that ran
+KRYLOV_SUMMARY = ("stage", "sweep", "iterations", "reason", "coarse_dims")
 
 
 class ConfigError(Exception):
@@ -71,9 +72,12 @@ class StudyConfig:
         for n in self.levels:
             if n < 1 or (n & (n - 1)) != 0:
                 raise ConfigError(f"levels must be powers of two, got {n}")
+        # a rate is per halving of h, so each level must double the last
         for a, b in zip(self.levels, self.levels[1:]):
-            if b <= a:
-                raise ConfigError("levels must be strictly increasing")
+            if b != 2 * a:
+                raise ConfigError(
+                    f"each level must double the one before it, got {a} then {b}"
+                )
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
@@ -186,7 +190,7 @@ def run_study(config, log=print):
                             rate_u_h1=None,
                             solve_seconds=None if config.serial else seconds,
                             krylov=[
-                                {k: r[k] for k in KRYLOV_SUMMARY}
+                                {k: r[k] for k in KRYLOV_SUMMARY if k in r}
                                 for r in sol.diagnostics["krylov"]
                             ],
                         )

@@ -10,8 +10,9 @@ All bases are built directly on the physical element in barycentric form.
 Degrees of freedom use the mesh-global entity orientations carried by the
 geometry bundle (ascending-id tangents and normals), so shared DoFs are
 single-valued across elements without sign tables.  One routine,
-``dof_values``, applies them: to shape monomials for the nodal bases and the
-multigrid transfers, and to analytic fields for canonical interpolation.
+``dof_values``, applies them: to shape monomials for the nodal bases, to
+the vertex hats for the multigrid's auxiliary transfer, and to analytic
+fields for canonical interpolation.
 Functions are batched over tets: ``bary`` arguments have shape (P, 4) for
 shared points or (nT, P, 4) for per-tet points.
 """
@@ -298,37 +299,13 @@ def dof_values(kind, geom, values, gradients=None, edge_degree=EDGE_DOF_DEGREE,
     return np.concatenate(blocks, axis=1)
 
 
-def dof_matrix(kind, geom, parent=None):
-    """Generalized Vandermonde V[i, j] = DoF_i(shape monomial j), (T, nd, nd).
-
-    With ``parent``, a geometry bundle of one tet per tet of ``geom``
-    containing it, the DoFs of ``geom`` are applied to the shape monomials
-    of the parent instead.
-    """
-    source = geom if parent is None else parent
-
-    def monomials(evaluate):
-        def at(bary):
-            if parent is not None:
-                x = np.einsum("tpi,tij->tpj", bary, geom.vertices)
-                x -= parent.vertices[:, None, 0]
-                bary = np.einsum("tpj,tij->tpi", x, parent.grad_lambda)
-                bary[..., 0] += 1.0
-            return evaluate(kind, source, bary)
-        return at
-
+def dof_matrix(kind, geom):
+    """Generalized Vandermonde V[i, j] = DoF_i(shape monomial j), (T, nd, nd)."""
     # the one-point rule (weight exactly 1) keeps P0's matrix exactly one
     return dof_values(
-        kind, geom, monomials(shape_values), monomials(shape_gradients), tet_degree=0
+        kind, geom, lambda bary: shape_values(kind, geom, bary),
+        lambda bary: shape_gradients(kind, geom, bary), tet_degree=0,
     )
-
-
-def transfer_matrices(kind, geom, parent):
-    """DoFs of each tet of ``geom`` applied to the nodal basis of the parent
-    tet containing it, (T, nd, nd): entry [i, j] is child DoF i of parent
-    basis function j, the local canonical interpolation between nested
-    meshes."""
-    return dof_matrix(kind, geom, parent=parent) @ nodal_coefficients(kind, parent)
 
 
 # tets per batched inversion of the DoF matrices

@@ -19,7 +19,7 @@ from . import elements as el
 from .assembly import (
     ND, P2, PHI, Q, RT, W, AssemblyError, DofMap, _accumulate, gather_coefficients,
 )
-from .mesh import kuhn_parents, mesh_geometry
+from .mesh import mesh_geometry
 
 
 @dataclass
@@ -74,36 +74,62 @@ def canonical_interpolate(
     return FeFunction(dofmap, coeffs)
 
 
-def prolongation(coarse, fine):
-    """Canonical interpolation of every coarse basis function into the fine
-    space of a Kuhn cube and its refinement, (fine.dim, coarse.dim).
+def vertex_interpolant(wmap):
+    """Averaged canonical W interpolant of the P1 hat of every interior
+    vertex, (wmap.dim, interior vertices): the auxiliary-space transfer of
+    the W potential's multigrid (P1 lies in W element by element and has no
+    broken Hessian, so it carries the potential's slowest modes).
 
-    A fine DoF shared by fine tets of different parents takes the average
-    of their values; for a nonconforming space this is the averaged
-    transfer of nonconforming multigrid (Brenner 1989).  The local
-    matrices depend only on the parent's translation class and the child's
-    slot, so they are computed once per pair (48 on a Kuhn cube).
+    A W DoF shared by several tets takes the average of their values; only
+    the normal-derivative face DoFs differ between tets.  The local matrix
+    depends only on a tet's translation class, so it is computed once per
+    class (six on a Kuhn cube).
     """
-    if coarse.space != fine.space:
-        raise AssemblyError("prolongation needs DofMaps of one space")
-    parents, slots = kuhn_parents(fine.mesh, coarse.mesh)
-    cgeom, fgeom = mesh_geometry(coarse.mesh), mesh_geometry(fine.mesh)
-    pairs = cgeom.classes[parents] * 48 + slots
-    _, reps, inverse = np.unique(pairs, return_index=True, return_inverse=True)
-    local = el.transfer_matrices(
-        fine.element, fgeom.take(reps), cgeom.take(parents[reps])
-    )[inverse]
-    summed = _accumulate(
-        fine.cell_table, coarse.cell_table[parents], local, (fine.dim, coarse.dim)
+    geom = mesh_geometry(wmap.mesh)
+    rep, classes = geom.rep_geometry, geom.classes
+    if rep is None:  # no translation structure: one class per tet
+        rep, classes = geom, np.arange(geom.num_tets)
+    hats = el.dof_values(
+        wmap.element, rep, lambda bary: bary,
+        lambda bary: np.broadcast_to(
+            rep.grad_lambda[:, None], bary.shape[:2] + (4, 3)),
     )
-    rows = fine.cell_table[fine.cell_table >= 0]
-    P = (sp.diags(1.0 / np.bincount(rows, minlength=fine.dim)) @ summed).tocsr()
-    # entries that vanish exactly come out of the quadrature as roundoff;
-    # kept, they would double the transfer's nonzeros and widen every
-    # Galerkin product built from it
+    # a P1 hat is numbered as the W DoF of its vertex value
+    nvi = int(np.count_nonzero(wmap.vertex_dofs >= 0))
+    summed = _accumulate(
+        wmap.cell_table, wmap.vertex_dofs[wmap.mesh.tets], hats[classes],
+        (wmap.dim, nvi),
+    )
+    rows = wmap.cell_table[wmap.cell_table >= 0]
+    P = (sp.diags(1.0 / np.bincount(rows, minlength=wmap.dim)) @ summed).tocsr()
+    # entries that vanish exactly come out of the quadrature as roundoff
+    # (a sixth of them at n=6); kept, they would widen the Galerkin product
     P.data[np.abs(P.data) < 1e-12 * np.abs(P.data).max()] = 0.0
     P.eliminate_zeros()
     return P
+
+
+def p1_kuhn_prolongation(n):
+    """P1 prolongation from the interior vertices of the Kuhn cube with n/2
+    subdivisions to those of its refinement, (n-1)^3 by (n/2-1)^3.
+
+    Refinement is nested, and every fine vertex is a coarse vertex (weight
+    1) or the midpoint of a coarse Kuhn edge (weight 1/2 from each end).
+    Interior vertices are numbered x fastest, as ``build_unit_cube_mesh``
+    numbers all vertices.
+    """
+    m = n // 2
+    fine = np.stack(np.meshgrid(*[np.arange(1, n)] * 3, indexing="ij"))[::-1]
+    fine = fine.reshape(3, -1)  # (x, y, z) of the fine vertices, x fastest
+    rows, cols = [], []
+    # the ends of the coarse edge a fine vertex bisects; a coarse vertex is
+    # both ends of its own zero-length edge, so its two halves sum to 1
+    for end in (fine // 2, (fine + 1) // 2):
+        interior = ((end > 0) & (end < m)).all(axis=0)
+        rows.append(np.flatnonzero(interior))
+        cols.append((end[:, interior] - 1).T @ np.array([1, m - 1, (m - 1) ** 2]))
+    vals = [np.full(r.size, 0.5) for r in rows]
+    return _triplets(rows, cols, vals, ((n - 1) ** 3, (m - 1) ** 3))
 
 
 def fe_values(fe, bary, tids=None):

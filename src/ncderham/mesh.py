@@ -272,36 +272,6 @@ def build_unit_cube_mesh(n):
     return mesh
 
 
-def kuhn_parents(fine, coarse):
-    """Parent tet and child slot of every tet of a Kuhn mesh refined once
-    from ``coarse`` (``fine.kuhn_n == 2 * coarse.kuhn_n``).
-
-    Uniform refinement of a Kuhn cube is nested: every coarse tet holds
-    eight fine ones (Bey 1995).  The slot, in [0, 48), names the child's
-    subcube within its parent's subcube and its own Kuhn tet, so a parent's
-    translation class and a child's slot fix their relative geometry.
-    """
-    n = coarse.kuhn_n
-    if n is None or fine.kuhn_n != 2 * n:
-        raise MeshIntegrityError("meshes are not a Kuhn cube and its refinement")
-    # tet 6 * cube + p of build_unit_cube_mesh is Kuhn tet p of its cube,
-    # and cubes are numbered with x fastest
-    cube, p = np.divmod(np.arange(fine.num_tets), 6)
-    xyz = np.stack([cube % (2 * n), cube // (2 * n) % (2 * n), cube // (4 * n * n)], axis=1)
-    offset = xyz % 2
-    # the descending order of the child's centroid coordinates within its
-    # parent's subcube is the parent's Kuhn permutation
-    centroid = np.empty((6, 3))
-    index = np.empty((3, 3, 3), dtype=np.int64)
-    for q, perm in enumerate(KUHN_PERMS):
-        centroid[q, list(perm)] = (0.75, 0.5, 0.25)
-        index[perm] = q
-    order = np.argsort(-(offset + centroid[p]), axis=1)
-    parent_p = index[order[:, 0], order[:, 1], order[:, 2]]
-    coarse_cube = (xyz // 2) @ np.array([1, n, n * n])
-    return 6 * coarse_cube + parent_p, 6 * (offset @ np.array([1, 2, 4])) + p
-
-
 def _perm_parity(perm):
     inv = sum(
         1

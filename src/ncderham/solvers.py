@@ -22,8 +22,9 @@ import scipy.sparse.linalg as spla
 from . import assembly as asm
 from .assembly import ND, P2, PHI, Q, RT, W
 from .fields import AnalyticField
-from .interpolate import FeFunction, diff_operator_matrix, prolongation
-from .mesh import build_unit_cube_mesh
+from .interpolate import (
+    FeFunction, diff_operator_matrix, p1_kuhn_prolongation, vertex_interpolant,
+)
 
 
 class SolverFailure(Exception):
@@ -63,9 +64,10 @@ class ReductionOperators:
     curl_nd: object  # (n_rt, n_nd)
     grad_nd: object  # (n_nd, n_p2)
     rt_mass: object  # (n_rt, n_rt)
-    # W transfers down a nested hierarchy, finest first: the potential solve
-    # takes a multigrid preconditioner (an empty tuple leaves one level, a
-    # direct solve); None keeps Jacobi
+    # transfers of the potential's V-cycle, finest first: the first into an
+    # auxiliary space (the P1 vertex space), the rest down its nested
+    # hierarchy (an empty tuple leaves one level, a direct solve); None keeps
+    # Jacobi
     w_transfers: tuple = None
 
 
@@ -122,7 +124,8 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
     ||rhs||)``.  ``M`` is a ``VCycle`` preconditioner; without one the solve
     is Jacobi-preconditioned.  ``stats``, when given a dict, receives the
     solve's record (see ``_pcg``) and its ``preconditioner``, plus a
-    multigrid preconditioner's ``levels`` and ``setup_s``.  A solve stopped
+    multigrid preconditioner's ``levels``, ``coarse_dims`` (the dimension
+    of every level, finest first) and ``setup_s``.  A solve stopped
     at ``spd_maxiter`` raises; a drifted one does not.
     """
     config = config or SolverConfig()
@@ -149,11 +152,13 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
 
 
 class VCycle(spla.LinearOperator):
-    """Symmetric multigrid V-cycle for an SPD matrix on a nested hierarchy.
+    """Symmetric multigrid V-cycle for an SPD matrix.
 
     The coarse operators are Galerkin products ``P^T A P`` of the
     transfers, finest first, so the cycle needs no coarse discretization
-    and stays robust in eps.  Each level but the coarsest smooths with
+    and stays robust in eps.  A transfer need not come from a nested mesh:
+    the W potential's first one maps an auxiliary space (the P1 vertex
+    space of the same mesh) into W.  Each level but the coarsest smooths with
     ``SMOOTHING_STEPS`` Chebyshev steps on the Jacobi-scaled operator before
     and after its coarse correction, over ``[lmax / 30, 1.1 lmax]`` with
     ``lmax`` estimated by Lanczos; the coarsest level is solved by sparse LU.
@@ -179,6 +184,7 @@ class VCycle(spla.LinearOperator):
             self.bounds.append((lmax / 30.0, 1.1 * lmax))
         self.coarse_lu = spla.splu(self.ops[-1].tocsc())
         self.info = {"preconditioner": "multigrid", "levels": len(self.ops),
+                     "coarse_dims": [A.shape[0] for A in self.ops],
                      "setup_s": time.perf_counter() - t0}
 
     def _matvec(self, b):
@@ -486,27 +492,29 @@ def _kuhn_levels(n):
 def _takes_multigrid(mesh, eps):
     """Whether the W potential on ``mesh`` is preconditioned by the V-cycle.
 
-    Where it pays, as measured (README, "Determinism and performance"): on
-    a Kuhn cube with n >= 16 and eps >= h / 10.  At n <= 8, or for smaller
-    eps, Jacobi-CG needs few enough iterations that the cold hierarchy
-    costs more than it saves.  The hierarchy must also halve down to
-    n <= 3, where the coarse sparse LU is small (n = 2^k or 3 * 2^k).
+    Where it was measured to pay (README, "Determinism and performance"):
+    on a Kuhn cube with n >= 16 and eps >= h / 10.  The vertex-space cycle
+    also gains somewhat below that line and at n=12, where a forced solve
+    once met the first-sweep flux divergence; moving the line needs its own
+    measurements.
     """
     n = mesh.kuhn_n
-    return (n is not None and n >= 16 and _kuhn_levels(n)[-1] <= 3
-            and eps >= mesh.h / 10)
+    return n is not None and n >= 16 and eps >= mesh.h / 10
 
 
 def _w_transfers(mesh, dofmaps, cache):
-    """W transfers down the Kuhn hierarchy of ``mesh``, finest first; built
-    once per level ``cache``."""
+    """Transfers of the W potential's V-cycle on a Kuhn cube, finest first;
+    built once per level ``cache``.
+
+    The first is an auxiliary space, not a nested one: the P1 vertex space
+    of the same mesh (``vertex_interpolant``), which carries the potential's
+    slowest modes.  The P1 prolongations down the Kuhn hierarchy follow.
+    """
     if "w_transfers" not in cache:
-        transfers, fine = [], dofmaps[W]
-        for n in _kuhn_levels(mesh.kuhn_n)[1:]:
-            coarse = asm.build_dof_map(W, build_unit_cube_mesh(n))
-            transfers.append(prolongation(coarse, fine))
-            fine = coarse
-        cache["w_transfers"] = tuple(transfers)
+        levels = _kuhn_levels(mesh.kuhn_n)
+        cache["w_transfers"] = (vertex_interpolant(dofmaps[W]),) + tuple(
+            p1_kuhn_prolongation(n) for n in levels[:-1]
+        )
     return cache["w_transfers"]
 
 

@@ -47,6 +47,15 @@ def test_cli_config_error_exit_code(tmp_path):
         assert main(["--config", str(cfg)]) == 2
 
 
+def test_levels_that_skip_a_halving_are_rejected():
+    """A convergence rate is per halving of h: levels 1,4 would report the
+    sum of two rates as one."""
+    for levels in ((1, 4), (2, 4, 16), (4, 4)):
+        with pytest.raises(ConfigError, match="must double"):
+            StudyConfig(levels=levels).validate()
+    assert main(["--levels", "1,4", "--serial"]) == 2
+
+
 def test_run_study_writes_outputs(tmp_path):
     out = tmp_path / "results"
     code = main(

@@ -12,9 +12,10 @@ from ncderham.interpolate import (
     fe_gradients,
     fe_values,
     nd_interpolant,
-    prolongation,
+    p1_kuhn_prolongation,
+    vertex_interpolant,
 )
-from ncderham.mesh import build_unit_cube_mesh, kuhn_parents, mesh_geometry
+from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
 
 
@@ -211,62 +212,85 @@ def test_nd_interpolant_helper(maps2):
     assert np.array_equal(nd.coeffs, c[: maps2[ND].dim])
 
 
-def _parent_points(fine, coarse, bary):
-    """Barycentric coordinates, in each fine tet's parent, of the points
-    ``bary`` of the fine tet; and the parents."""
-    parents, _ = kuhn_parents(fine, coarse)
-    fgeom, cgeom = mesh_geometry(fine), mesh_geometry(coarse)
-    x = np.einsum("pi,tij->tpj", bary, fgeom.vertices) - cgeom.vertices[parents][:, None, 0]
-    lam = np.einsum("tpj,tij->tpi", x, cgeom.grad_lambda[parents])
-    lam[..., 0] += 1.0
-    return lam, parents
+def _kuhn_p1(values, n, X):
+    """The P1 function on the Kuhn cube with n subdivisions and the given
+    vertex values (x fastest), at the points X: in the subcube with corner c
+    and local coordinates f sorted as f[p0] >= f[p1] >= f[p2], the Kuhn tet
+    walks c, c + e_p0, c + e_p0 + e_p1, c + 1 with barycentric weights
+    1 - f[p0], f[p0] - f[p1], f[p1] - f[p2], f[p2] (Freudenthal)."""
+    k = n + 1
+    corner = np.minimum(np.floor(X * n), n - 1).astype(np.int64)
+    f = X * n - corner
+    order = np.argsort(-f, axis=1, kind="stable")
+    ends = np.ones((len(X), 1)), np.take_along_axis(f, order, axis=1), np.zeros((len(X), 1))
+    weights = -np.diff(np.concatenate(ends, axis=1), axis=1)
+    out = weights[:, 0] * values[corner @ [1, k, k * k]]
+    for step in range(3):
+        corner[np.arange(len(X)), order[:, step]] += 1
+        out += weights[:, step + 1] * values[corner @ [1, k, k * k]]
+    return out
 
 
-def test_p2_prolongation_is_exact_at_fine_quadrature_points():
-    """P2 spaces are nested, so the prolongated coarse function equals the
-    coarse function itself."""
-    coarse, fine = build_unit_cube_mesh(2), build_unit_cube_mesh(4)
-    cmap, fmap = asm.build_dof_map(P2, coarse), asm.build_dof_map(P2, fine)
-    x = np.random.default_rng(0).standard_normal(cmap.dim)
-    pts = get_rule(TET, 4).points
-    fine_vals = fe_values(FeFunction(fmap, prolongation(cmap, fmap) @ x), pts)
-    lam, parents = _parent_points(fine, coarse, pts)
-    coarse_vals = np.concatenate([
-        fe_values(FeFunction(cmap, x), lam[t:t + 1], [parents[t]])
-        for t in range(fine.num_tets)
-    ])
-    assert np.abs(fine_vals - coarse_vals).max() <= 1e-13 * np.abs(coarse_vals).max()
+@pytest.mark.parametrize("n", [4, 8])
+def test_p1_kuhn_prolongation_reproduces_coarse_p1_functions(n):
+    """Kuhn refinement is nested, so the prolongated coarse P1 function
+    equals the coarse function at every fine vertex."""
+    m = n // 2
+    coarse, fine = build_unit_cube_mesh(m), build_unit_cube_mesh(n)
+    interior = ~coarse.boundary_vertex
+    x = np.random.default_rng(3).standard_normal(int(interior.sum()))
+    values = np.zeros(coarse.num_vertices)
+    values[interior] = x
+    expected = _kuhn_p1(values, m, fine.vertices[~fine.boundary_vertex])
+    found = p1_kuhn_prolongation(n) @ x
+    assert np.abs(found - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_vertex_interpolant_keeps_a_hats_vertex_values_and_edge_integrals():
+    mesh = build_unit_cube_mesh(3)
+    wmap = asm.build_dof_map(W, mesh)
+    v = int(np.flatnonzero(~mesh.boundary_vertex)[3])
+    hat = vertex_interpolant(wmap)[:, wmap.vertex_dofs[v]].toarray().ravel()
+    values = hat[wmap.vertex_dofs[~mesh.boundary_vertex]]
+    assert np.array_equal(values, (wmap.vertex_dofs[~mesh.boundary_vertex] ==
+                                   wmap.vertex_dofs[v]).astype(float))
+    edges = np.flatnonzero(~mesh.boundary_edge)
+    lengths = np.linalg.norm(np.diff(mesh.vertices[mesh.edges[edges]], axis=1), axis=2)[:, 0]
+    incident = (mesh.edges[edges] == v).any(axis=1)
+    found = hat[wmap.edge_dofs[edges, 0]]
+    assert np.allclose(found, np.where(incident, lengths / 2, 0.0), rtol=1e-14, atol=1e-15)
 
 
 def test_w_prolongation_averages_the_per_tet_canonical_interpolants():
-    """Each fine DoF of a prolongated W function is the mean, over the fine
-    tets sharing it, of the DoF applied to the coarse function on the tet's
-    parent (the element DoFs applied tet by tet, as a reference)."""
-    coarse, fine = build_unit_cube_mesh(2), build_unit_cube_mesh(4)
-    cmap, fmap = asm.build_dof_map(W, coarse), asm.build_dof_map(W, fine)
-    x = np.random.default_rng(1).standard_normal(cmap.dim)
-    parents, _ = kuhn_parents(fine, coarse)
-    cgeom, fgeom = mesh_geometry(coarse), mesh_geometry(fine)
-    coarse_fe = FeFunction(cmap, x)
-    total, count = np.zeros(fmap.dim), np.zeros(fmap.dim)
-    for t in range(fine.num_tets):
-        T = parents[t]
+    """Each W DoF of the vertex interpolant of a P1 function is the mean,
+    over the tets sharing it, of the DoF applied to the function on each
+    tet (the element DoFs applied tet by tet, as a reference)."""
+    mesh = build_unit_cube_mesh(3)
+    wmap = asm.build_dof_map(W, mesh)
+    geom = mesh_geometry(mesh)
+    x = np.random.default_rng(1).standard_normal(int((~mesh.boundary_vertex).sum()))
+    values = np.zeros(mesh.num_vertices)
+    values[~mesh.boundary_vertex] = x
+    total, count = np.zeros(wmap.dim), np.zeros(wmap.dim)
+    for t in range(mesh.num_tets):
+        local_values = values[mesh.tets[t]]
 
-        def parent_bary(X, T=T):
-            lam = (X - cgeom.vertices[T, 0]) @ cgeom.grad_lambda[T].T
+        def bary(X, t=t):
+            lam = (X - geom.vertices[t, 0]) @ geom.grad_lambda[t].T
             lam[:, 0] += 1.0
-            return lam[None]
+            return lam
 
         field = AnalyticField(
-            "coarse", 1,
-            lambda X, f=parent_bary, T=T: fe_values(coarse_fe, f(X), [T])[0],
-            gradient=lambda X, f=parent_bary, T=T: fe_gradients(coarse_fe, f(X), [T])[0],
+            "p1", 1,
+            lambda X, f=bary, c=local_values: f(X) @ c,
+            gradient=lambda X, t=t, c=local_values: np.broadcast_to(
+                c @ geom.grad_lambda[t], (len(X), 3)),
         )
-        local = el.apply_dofs(el.W_NC, fgeom.take([t]), field)[0]
-        dofs = fmap.cell_table[t]
+        local = el.apply_dofs(el.W_NC, geom.take([t]), field)[0]
+        dofs = wmap.cell_table[t]
         keep = dofs >= 0
         np.add.at(total, dofs[keep], local[keep])
         np.add.at(count, dofs[keep], 1.0)
     reference = total / count
-    found = prolongation(cmap, fmap) @ x
+    found = vertex_interpolant(wmap) @ x
     assert np.abs(found - reference).max() <= 1e-12 * np.abs(reference).max()

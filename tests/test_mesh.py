@@ -3,12 +3,12 @@ import pytest
 
 from ncderham.mesh import (
     LOCAL_EDGES,
+    KUHN_PERMS,
     LOCAL_FACES,
     DegenerateGeometryError,
     MeshIntegrityError,
     build_mesh_from_tets,
     build_unit_cube_mesh,
-    kuhn_parents,
     mesh_geometry,
     tet_geometry,
 )
@@ -135,19 +135,23 @@ def test_entity_tables_match_a_row_unique_reference():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_kuhn_refinement_is_nested(n):
-    """Every fine tet lies in its parent, every parent has eight children,
-    and the (parent class, child slot) pairs number 48."""
+    """Every fine tet lies in the coarse tet holding its centroid, and every
+    coarse tet holds eight fine ones (Bey 1995), so coarse P1 functions are
+    P1 on the fine mesh."""
     coarse, fine = build_unit_cube_mesh(n), build_unit_cube_mesh(2 * n)
-    parents, slots = kuhn_parents(fine, coarse)
+    centroid = fine.vertices[fine.tets].mean(axis=1) * n
+    cube = np.floor(centroid).astype(np.int64)
+    # tet 6 * cube + p of build_unit_cube_mesh is Kuhn tet p of its cube,
+    # the one whose points have descending coordinates along KUHN_PERMS[p]
+    order = np.argsort(-(centroid - cube), axis=1)
+    kuhn = np.array([KUHN_PERMS.index(tuple(o)) for o in order])
+    parents = 6 * (cube @ np.array([1, n, n * n])) + kuhn
     cgeom = mesh_geometry(coarse)
     X = fine.vertices[fine.tets] - cgeom.vertices[parents][:, None, 0]
     lam = np.einsum("tpj,tij->tpi", X, cgeom.grad_lambda[parents])
     lam[..., 0] += 1.0
     assert lam.min() >= -1e-14
     assert np.array_equal(np.bincount(parents), np.full(coarse.num_tets, 8))
-    assert np.unique(cgeom.classes[parents] * 48 + slots).size == 48
-    with pytest.raises(MeshIntegrityError):
-        kuhn_parents(build_unit_cube_mesh(3), coarse)
     assert fine.kuhn_n == 2 * n
     assert build_mesh_from_tets(fine.vertices, fine.tets).kuhn_n is None
 

@@ -323,15 +323,19 @@ def potential_matrix(mesh, maps, eps):
 
 
 def w_transfers(mesh):
-    """W prolongations down the Kuhn hierarchy of ``mesh``, finest first."""
+    """The V-cycle's transfers on ``mesh``: W from the P1 vertex space, then
+    P1 down the Kuhn hierarchy."""
     return solvers._w_transfers(mesh, build_spaces(mesh), {})
 
 
 def test_vcycle_is_symmetric_and_positive(setup4):
     mesh, maps = setup4
     A = potential_matrix(mesh, maps, 1.0)
-    B = VCycle(A, w_transfers(mesh))
-    assert B.info["preconditioner"] == "multigrid" and B.info["levels"] == 2
+    transfers = w_transfers(mesh)
+    assert [P.shape for P in transfers] == [(maps[W].dim, 27), (27, 1)]
+    B = VCycle(A, transfers)
+    assert B.info["preconditioner"] == "multigrid" and B.info["levels"] == 3
+    assert B.info["coarse_dims"] == [maps[W].dim, 27, 1]
     rng = np.random.default_rng(11)
     for _ in range(5):
         x, y = rng.standard_normal((2, A.shape[0]))
@@ -341,19 +345,22 @@ def test_vcycle_is_symmetric_and_positive(setup4):
 
 
 def test_vcycle_on_one_level_is_the_direct_solve(setup2):
+    """Without transfers the cycle is the coarse LU alone.  At n=2 there is
+    no P1 level below the vertex space, which has one vertex."""
     mesh, maps = setup2
     A = potential_matrix(mesh, maps, 1.0)
-    transfers = w_transfers(mesh)
-    assert transfers == ()
+    assert [P.shape for P in w_transfers(mesh)] == [(maps[W].dim, 1)]
     b = np.random.default_rng(12).standard_normal(A.shape[0])
-    x = VCycle(A, transfers) @ b
+    B = VCycle(A, ())
+    assert B.info["levels"] == 1 and B.info["coarse_dims"] == [A.shape[0]]
+    x = B @ b
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.fixture(scope="module")
 def stiff_n8():
     """The n=8, eps=1 smooth case with the W potential forced onto the
-    multigrid route (n=8 is below the size where it pays, so production
+    multigrid route (n=8 is below the selection's size line, so production
     solves take Jacobi there)."""
     mesh = build_unit_cube_mesh(8)
     maps = build_spaces(mesh)
@@ -384,7 +391,7 @@ def test_multigrid_and_jacobi_routes_agree(stiff_n8):
 
 
 def test_multigrid_potential_takes_one_sweep(stiff_n8):
-    """At n=8, eps=1 the potential needs at most 150 MG-PCG iterations and
+    """At n=8, eps=1 the potential needs at most 100 MG-PCG iterations and
     the saddle one sweep.  Its first record may read drifted: rounding the
     solution to double already leaves a residual of about 1e-9, above the
     1.8e-10 target of spd_tol * ||rhs||."""
@@ -393,8 +400,9 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
     assert [r["sweep"] for r in potentials] == [1]
     for r in potentials:
         assert r["preconditioner"] == "multigrid"
-        assert r["levels"] == 3 and r["setup_s"] > 0
-        assert 1 <= r["iterations"] <= 150
+        assert r["levels"] == 4 and r["setup_s"] > 0
+        assert r["coarse_dims"] == [sol.diagnostics["dims"][W], 7**3, 3**3, 1]
+        assert 1 <= r["iterations"] <= 100
     saddle = sol.diagnostics["saddle"]
     assert saddle["residuals"][-1] <= SolverConfig().saddle_tol
     others = [r for r in sol.diagnostics["krylov"] if r["stage"] != "potential"]
@@ -403,19 +411,19 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
 
 
 @pytest.mark.parametrize("n, eps, expected", [
-    (16, 1.0, True),    # 16 -> 8 -> 4 -> 2
+    (16, 1.0, True),    # P1 levels 16 -> 8 -> 4 -> 2
     (24, 1.0, True),    # 24 -> 12 -> 6 -> 3
     (32, 1e-2, True),   # eps / h = 0.18
-    (16, 1e-2, False),  # eps / h = 0.09, where the two routes tie
-    (8, 1.0, False),    # too small for the hierarchy to pay
-    (18, 1.0, False),   # 18 -> 9: the coarse LU would be large
-    (20, 1.0, False),   # 20 -> 10 -> 5
-    (17, 1.0, False),
+    (16, 1e-2, False),  # eps / h = 0.09, below the line
+    (8, 1.0, False),    # below the size line
+    (18, 1.0, True),    # 18 -> 9: the coarse P1 LU has 512 unknowns
+    (20, 1.0, True),    # 20 -> 10 -> 5
+    (17, 1.0, True),    # no halving: the P1 LU has 4096 unknowns
     (None, 1.0, False),  # not a Kuhn cube (build_mesh_from_tets)
 ])
 def test_multigrid_selection(n, eps, expected):
-    """The V-cycle runs on Kuhn cubes with n >= 16 whose hierarchy halves
-    down to n <= 3, once eps >= h / 10; decided without building a level."""
+    """The V-cycle runs on Kuhn cubes with n >= 16 once eps >= h / 10;
+    decided without building a level."""
     mesh = types.SimpleNamespace(kuhn_n=n, h=3**0.5 / (n or 16))
     assert solvers._takes_multigrid(mesh, eps) == expected
 
