@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
+from .fields import quadrature_points
 from .mesh import mesh_geometry
 from .quadrature import TET, get_rule
 
@@ -344,6 +345,8 @@ def assemble_load(kind, mesh, dofmaps, data):
         data = nd_interpolant(data, build_dof_map(ND, mesh))
 
     geom = mesh_geometry(mesh)
+    if kind == "f_vs_p2":
+        points = quadrature_points(geom, pts)
     test, gradients = _LOAD_TEST[kind]
     if geom.rep_geometry is not None:
         # weighted test basis per class, (nc, P * value size, nd): one GEMM
@@ -357,8 +360,7 @@ def assemble_load(kind, mesh, dofmaps, data):
     for lo in range(0, nT, _CHUNK):
         tids = np.arange(lo, min(lo + _CHUNK, nT))
         if kind == "f_vs_p2":
-            phys = np.matmul(pts, geom.vertices[tids])
-            vals = np.asarray(data.value(phys.reshape(-1, 3))).reshape(phys.shape[:2])
+            vals = np.asarray(data.value(points.take(tids))).reshape(tids.size, w.size)
         elif kind in ("gradw_vs_indphi", "gradw_vs_phi"):
             vals = fe_gradients(data, pts, tids)
         else:

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assembly import ND, build_dof_map
+from .fields import quadrature_points
 from .interpolate import fe_gradients, fe_values, nd_interpolant
 from .mesh import mesh_geometry
 from .quadrature import TET, get_rule
@@ -28,13 +29,6 @@ class ErrorCapability(Exception):
     """Missing derivative data or unsupported kind."""
 
 
-def _exact_at(exact, attr, phys):
-    fn = getattr(exact, attr, None)
-    if fn is None:
-        raise ErrorCapability(f"exact field lacks {attr!r} data")
-    return np.asarray(fn(phys.reshape(-1, 3))).reshape(phys.shape[:2] + (-1,))
-
-
 def compute_error(kind, fe, exact, quad_degree=8):
     """L2 / broken-H1 distance between a discrete and an analytic field.
 
@@ -43,20 +37,23 @@ def compute_error(kind, fe, exact, quad_degree=8):
     if kind not in _ERROR_KINDS:
         raise ErrorCapability(f"unknown error kind {kind!r}")
     evaluate, attr = _ERROR_KINDS[kind]
+    exact_fn = getattr(exact, attr, None)
+    if exact_fn is None:
+        raise ErrorCapability(f"exact field lacks {attr!r} data")
     mesh = fe.dofmap.mesh
     if kind == "l2_vs_ind":
         fe = nd_interpolant(fe, build_dof_map(ND, mesh))
     geom = mesh_geometry(mesh)
     rule = get_rule(TET, quad_degree)
     w, pts = rule.weights, rule.points
+    points = quadrature_points(geom, pts)
 
     total = 0.0
     nT = mesh.num_tets
     for lo in range(0, nT, _CHUNK):
         tids = np.arange(lo, min(lo + _CHUNK, nT))
-        phys = np.matmul(pts, geom.vertices[tids])
         vals = evaluate(fe, pts, tids)
-        ex = _exact_at(exact, attr, phys).reshape(vals.shape)
+        ex = np.asarray(exact_fn(points.take(tids))).reshape(vals.shape)
         # pointwise squared norm over the value axes (none for scalars)
         d = (vals - ex).reshape(tids.size, w.size, -1)
         total += float(geom.volume[tids] @ (np.einsum("tqk,tqk->tq", d, d) @ w))
@@ -78,16 +75,9 @@ def err_phi_plain(fe_phi, exact_phi, eps, quad_degree=8):
     return math.sqrt((eps * h1) ** 2 + l2**2)
 
 
-def convergence_rates(errors, levels=None):
+def convergence_rates(errors):
     """log2 ratios between consecutive errors; the first entry, and any rate
-    next to a nonpositive or NaN error, is None.
-
-    ``levels``, when given, must halve h (double n) at every step.
-    """
-    if levels is not None:
-        for a, b in zip(levels, levels[1:]):
-            if b != 2 * a:
-                raise ValueError(f"levels must double: {levels}")
+    next to a nonpositive or NaN error, is None."""
     rates = [None]
     for e0, e1 in zip(errors, errors[1:]):
         if e0 > 0 and e1 > 0:

@@ -1,6 +1,7 @@
 """Closed-form data for the two convergence experiments, built as products
 of 1-D factors, with a finite-difference oracle that cross-checks every
-provided derivative."""
+provided derivative, and per-axis tables of quadrature points on which
+the factors are evaluated once."""
 
 from dataclasses import dataclass
 from functools import reduce
@@ -8,6 +9,8 @@ from operator import add
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+
+from .mesh import _unique_rows
 
 
 @dataclass
@@ -71,8 +74,82 @@ def _index(*axes):
     return tuple(axes.count(a) for a in range(3))
 
 
+class PointSet(np.ndarray):
+    """(M, 3) points taken from a ``QuadraturePoints`` table: a plain
+    ndarray that also knows which table row each of its tets reads.
+
+    Only the array ``QuadraturePoints.take`` returns carries the table;
+    arrays derived from it (copies, slices, arithmetic) do not, so a
+    callable that moves its points evaluates them directly.
+    """
+
+    def __array_finalize__(self, obj):
+        self.table = None
+        self.keys = None  # per axis, (T,) table row of each tet
+
+
+class QuadraturePoints:
+    """A rule's physical points on every tet of a mesh, tabulated per axis.
+
+    Along axis a the points of a tet depend only on its vertices'
+    a-coordinates, so tets whose rows of ``vertices[:, :, a]`` agree bit
+    for bit share them.  Those rows are the axis's keys: 4n on a Kuhn mesh,
+    at most one per tet on any mesh.  Each key's points are computed once,
+    with the same matmul a per-tet evaluation does, so they are
+    bit-identical to it.  Factors of product fields are evaluated once per
+    table entry and kept in a memo shared by every chunk and every norm.
+    """
+
+    def __init__(self, vertices, bary):
+        self.keys = []  # per axis, (nT,) key of each tet
+        self.coords = []  # per axis, (n_keys, P) coordinates
+        for a in range(3):
+            bits = np.ascontiguousarray(vertices[:, :, a]).view(np.int64)
+            unique, keys = _unique_rows(bits)
+            reps = np.empty(unique.shape[0], dtype=np.int64)
+            reps[keys] = np.arange(keys.size)  # any tet of each key will do
+            self.keys.append(keys)
+            coords = np.matmul(bary, vertices[reps])[..., a]
+            self.coords.append(np.ascontiguousarray(coords))
+        self.memo = {}  # (axis, factor) -> {order: values on coords[axis]}
+
+    def take(self, tids):
+        """The points of tets ``tids``, tet-major, as a (T * P, 3) PointSet."""
+        keys = [k[tids] for k in self.keys]
+        X = np.stack([c[k].reshape(-1) for c, k in zip(self.coords, keys)], axis=1)
+        X = X.view(PointSet)
+        X.table, X.keys = self, keys
+        return X
+
+    def factor_values(self, a, factor, orders, keys):
+        """``factor``'s derivatives of the given orders at the points of
+        table rows ``keys`` along axis ``a``, flattened tet-major."""
+        memo = self.memo.setdefault((a, factor), {})
+        missing = orders - memo.keys()
+        if missing:
+            memo.update(factor(self.coords[a], missing))
+        return {k: memo[k][keys].reshape(-1) for k in orders}
+
+
+def quadrature_points(geom, bary):
+    """The ``QuadraturePoints`` of barycentric points ``bary`` on a mesh
+    geometry, built once and cached on it."""
+    cache = getattr(geom, "_quadrature_points", None)
+    if cache is None:
+        cache = {}
+        geom._quadrature_points = cache
+    key = (bary.shape, bary.tobytes())
+    if key not in cache:
+        cache[key] = QuadraturePoints(geom.vertices, bary)
+    return cache[key]
+
+
 def _table(factors, X, orders):
     """table[a][k] = k-th derivative of the a-th factor at x_a."""
+    if getattr(X, "table", None) is not None:
+        return [X.table.factor_values(a, factor, orders, X.keys[a])
+                for a, factor in enumerate(factors)]
+    X = np.asarray(X)
     return [factor(X[:, a], orders) for a, factor in enumerate(factors)]
 
 
@@ -108,11 +185,13 @@ def product_field(tag, factors):
 
     def hessian(X):
         table = _table(factors, X, {0, 1, 2})
-        H = np.empty((X.shape[0], 3, 3))
+        # entries are written contiguously and transposed in one copy,
+        # which is cheaper than nine strided writes into (M, 3, 3)
+        H = np.empty((3, 3, X.shape[0]))
         for a in range(3):
             for b in range(a, 3):
-                H[:, a, b] = H[:, b, a] = _term(table, _index(a, b))
-        return H
+                H[a, b] = H[b, a] = _term(table, _index(a, b))
+        return np.ascontiguousarray(np.moveaxis(H, 2, 0))
 
     def laplacian(X):
         return _laplacian(_table(factors, X, {0, 2}))

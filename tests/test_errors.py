@@ -142,8 +142,6 @@ def test_convergence_rates_basic():
     rates = convergence_rates([4e-2, 1e-2])
     assert rates[0] is None
     assert rates[1] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        convergence_rates([1.0, 0.5], levels=[4, 12])
 
 
 def test_report_writers(tmp_path):

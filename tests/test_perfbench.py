@@ -11,7 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from ncderham.fields import layer_case_fields, smooth_case_fields
+from ncderham import fields
+from ncderham.fields import layer_case_fields, quadrature_points, smooth_case_fields
+from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
+from ncderham.quadrature import TET, get_rule
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -32,20 +35,30 @@ def _tracing_module():
 
 
 def test_tracer_wraps_every_field_callable():
+    """The wrappers count points with len(X) and pass X through unchanged,
+    so a tabulated point set keeps its table inside the traced call."""
     tracing = _tracing_module()
     X = np.random.default_rng(0).random((5, 3))
+    geom = mesh_geometry(build_unit_cube_mesh(2))
+    tabulated = quadrature_points(geom, get_rule(TET, 8).points).take(np.arange(3))
     with tracing.installed(tracing.Tracer()) as tracer:
         calls = 0
         for data in (smooth_case_fields(1e-4), layer_case_fields()):
-            for fld in tracer.wrap_fields(data).values():
+            for key, fld in tracer.wrap_fields(data).items():
                 for attr in tracing.FIELD_CALLABLES:
                     fn = getattr(fld, attr)
                     if fn is not None:
                         fn(X)
+                        direct = getattr(data[key], attr)(np.array(tabulated))
+                        assert np.array_equal(fn(tabulated), direct), (key, attr)
                         calls += 1
-    assert tracer.calls("fields.exact_eval") == calls
-    assert tracer.counts["fields.exact_points"] == calls * len(X)
-    assert tracer.metrics()["fields.exact_points"] == calls * len(X)
+    # the traced calls on the point set read the factor memo of its table
+    assert {factor for _, factor in tabulated.table.memo} == {
+        fields.sin2_factor, fields.sin_factor}
+    points = calls * (len(X) + len(tabulated))
+    assert tracer.calls("fields.exact_eval") == 2 * calls
+    assert tracer.counts["fields.exact_points"] == points
+    assert tracer.metrics()["fields.exact_points"] == points
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
