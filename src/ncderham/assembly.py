@@ -58,80 +58,43 @@ class DofMap:
         return SPACE_ELEMENT[self.space]
 
 
-def _interior_ranks(flags):
-    ranks = np.full(flags.shape[0], -1, dtype=np.int64)
-    ids = np.flatnonzero(~flags)
-    ranks[ids] = np.arange(ids.size)
-    return ranks, ids.size
-
-
 def build_dof_map(space, mesh):
-    """Deterministic entity-major numbering of the interior DoFs."""
+    """Entity-major numbering of the interior DoFs.
+
+    The element layout gives k DoFs per vertex, edge, face and cell; each
+    entity type with k > 0 takes the next block of k * (interior count)
+    numbers, in layout order, k consecutive per interior entity in
+    ascending id.  ND is thus the edge prefix of Phi, and P2 and W number
+    the interior vertices first.
+    """
     if space not in SPACE_ELEMENT:
         raise AssemblyError(f"unknown space tag {space!r}")
-    vrank, nvi = _interior_ranks(mesh.boundary_vertex)
-    erank, nei = _interior_ranks(mesh.boundary_edge)
-    frank, nfi = _interior_ranks(mesh.boundary_face)
-
-    vertex_dofs = edge_dofs = face_dofs = cell_dofs = None
-    if space == P2:
-        vertex_dofs = np.where(vrank >= 0, vrank, -1)
-        edge_dofs = np.where(erank >= 0, nvi + erank, -1)[:, None]
-        dim = nvi + nei
-    elif space == W:
-        vertex_dofs = np.where(vrank >= 0, vrank, -1)
-        edge_dofs = np.where(erank >= 0, nvi + erank, -1)[:, None]
-        face_dofs = np.where(frank >= 0, nvi + nei + frank, -1)
-        dim = nvi + nei + nfi
-    elif space == ND:
-        edge_dofs = np.where(
-            erank[:, None] >= 0, 2 * erank[:, None] + np.arange(2), -1
-        )
-        dim = 2 * nei
-    elif space == PHI:
-        edge_dofs = np.where(
-            erank[:, None] >= 0, 2 * erank[:, None] + np.arange(2), -1
-        )
-        face_dofs = np.where(frank >= 0, 2 * nei + frank, -1)
-        dim = 2 * nei + nfi
-    elif space == RT:
-        face_dofs = np.where(frank >= 0, frank, -1)
-        dim = nfi
-    elif space == Q:
-        cell_dofs = np.arange(mesh.num_tets)
-        dim = mesh.num_tets
-
-    layout = el.KIND_INFO[SPACE_ELEMENT[space]]["layout"]
-    cols = []
-    if layout[0]:
-        cols.append(vertex_dofs[mesh.tets])
-    if layout[1]:
-        ge = edge_dofs[mesh.tet_to_edges]  # (nT, 6, k)
-        cols.append(ge.reshape(mesh.num_tets, -1))
-    if layout[2]:
-        cols.append(face_dofs[mesh.tet_to_faces])
-    if layout[3]:
-        cols.append(cell_dofs[:, None])
-    cell_table = np.concatenate(cols, axis=1)
-
-    return DofMap(
-        space=space,
-        mesh=mesh,
-        dim=dim,
-        vertex_dofs=vertex_dofs,
-        edge_dofs=edge_dofs,
-        face_dofs=face_dofs,
-        cell_dofs=cell_dofs,
-        cell_table=cell_table,
+    nT = mesh.num_tets
+    entities = (  # (boundary flags, tet incidence) per entity type
+        (mesh.boundary_vertex, mesh.tets),
+        (mesh.boundary_edge, mesh.tet_to_edges),
+        (mesh.boundary_face, mesh.tet_to_faces),
+        (np.zeros(nT, dtype=bool), np.arange(nT)[:, None]),
     )
+    layout = el.KIND_INFO[SPACE_ELEMENT[space]]["layout"]
+    dofs, blocks, dim = [None] * 4, [], 0
+    for i, (k, (boundary, incidence)) in enumerate(zip(layout, entities)):
+        if k:
+            interior = np.flatnonzero(~boundary)
+            ids = np.full((boundary.size, k), -1, dtype=np.int64)
+            ids[interior] = dim + k * np.arange(interior.size)[:, None] + np.arange(k)
+            dim += k * interior.size
+            blocks.append(ids[incidence].reshape(nT, -1))
+            dofs[i] = ids if i == 1 else ids[:, 0]  # only edges keep (n, k)
+    return DofMap(space, mesh, dim, *dofs, np.concatenate(blocks, axis=1))
 
 
 @dataclass
 class AssembledForm:
+    """A sparse matrix of a bilinear form or of a ``diff_operator_matrix``
+    operator; callers read ``.matrix``."""
+
     matrix: sp.csr_matrix
-    row_space: str
-    col_space: str
-    kind: str
 
 
 def gather_coefficients(dofmap, coeffs, tids=None):
@@ -164,36 +127,19 @@ def _pairs_contract(weights, vol, A, B):
     return np.matmul(Af, Bf.transpose(0, 2, 1)) * vol[:, None, None]
 
 
-_FORM_SPACES = {
-    "poisson_p2": (P2, P2),
-    "phi_stiffness": (PHI, PHI),
-    "phi_mass": (PHI, PHI),
-    "ind_mass": (PHI, PHI),
-    "curl_coupling": (PHI, RT),
-    "curl_coupling_plain": (PHI, RT),
-    "div_coupling": (Q, RT),
-    "rt_mass": (RT, RT),
+# kind -> (row space, column space, quadrature degree, symmetric)
+_FORMS = {
+    "poisson_p2": (P2, P2, 2, True),
+    "phi_stiffness": (PHI, PHI, 8, True),
+    "phi_mass": (PHI, PHI, 8, True),
+    "ind_mass": (PHI, PHI, 2, True),
+    "curl_coupling": (PHI, RT, 2, False),
+    "curl_coupling_plain": (PHI, RT, 2, False),
+    "div_coupling": (Q, RT, 2, False),
+    "rt_mass": (RT, RT, 2, True),
 }
 
-FORM_KINDS = tuple(_FORM_SPACES)
-
-_SYMMETRIC_KINDS = {
-    "poisson_p2",
-    "phi_stiffness",
-    "phi_mass",
-    "ind_mass",
-    "rt_mass",
-}
-
-_FORM_DEGREE = {
-    "poisson_p2": 2,
-    "phi_stiffness": 8,
-    "phi_mass": 8,
-    "ind_mass": 2,
-    "curl_coupling": 2,
-    "curl_coupling_plain": 2,
-    "rt_mass": 2,
-}
+FORM_KINDS = tuple(_FORMS)
 
 
 def assemble_bilinear(kind, mesh, dofmaps):
@@ -204,9 +150,9 @@ def assemble_bilinear(kind, mesh, dofmaps):
     ``eps**2 * phi_stiffness + ind_mass`` (``phi_mass`` without the edge
     interpolation); callers build it from the two parts.
     """
-    if kind not in _FORM_SPACES:
+    if kind not in _FORMS:
         raise AssemblyError(f"unknown form kind {kind!r}")
-    rs, cs = _FORM_SPACES[kind]
+    rs, cs, degree, symmetric = _FORMS[kind]
     for s in (rs, cs):
         if s not in dofmaps:
             raise AssemblyError(f"missing DofMap for space {s!r}")
@@ -220,7 +166,7 @@ def assemble_bilinear(kind, mesh, dofmaps):
     pieces = []
     for lo in range(0, rep.num_tets, _CHUNK):
         tids = np.arange(lo, min(lo + _CHUNK, rep.num_tets))
-        pieces.append(_local_form(kind, rep.take(tids)))
+        pieces.append(_local_form(kind, rep.take(tids), degree))
     local_reps = np.concatenate(pieces, axis=0)
     local = (
         local_reps[geom.classes]
@@ -241,13 +187,13 @@ def assemble_bilinear(kind, mesh, dofmaps):
     mat = blocks[0]
     for b in blocks[1:]:
         mat = mat + b
-    if kind in _SYMMETRIC_KINDS:
+    if symmetric:
         mat = (mat + mat.T) * 0.5
-    return AssembledForm(mat.tocsr(), rs, cs, kind)
+    return AssembledForm(mat.tocsr())
 
 
-def _local_form(kind, g):
-    rule = get_rule(TET, _FORM_DEGREE.get(kind, 2))
+def _local_form(kind, g, degree):
+    rule = get_rule(TET, degree)
     w, pts = rule.weights, rule.points
     if kind == "poisson_p2":
         grads = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
@@ -286,29 +232,14 @@ def _local_form(kind, g):
     raise AssemblyError(f"unknown form kind {kind!r}")
 
 
-_LOAD_SPACES = {
-    "f_vs_p2": P2,
-    "gradw_vs_indphi": PHI,
-    "indphi_vs_gradp2": P2,
-    "gradw_vs_phi": PHI,
-    "phi_vs_gradp2": P2,
-}
-
-_LOAD_DEGREE = {
-    "f_vs_p2": 10,
-    "gradw_vs_indphi": 2,
-    "indphi_vs_gradp2": 2,
-    "gradw_vs_phi": 5,
-    "phi_vs_gradp2": 5,
-}
-
-# test basis of each load: element kind and whether its gradients are used
-_LOAD_TEST = {
-    "f_vs_p2": (el.LAGRANGE_P2, False),
-    "gradw_vs_indphi": (el.NEDELEC2, False),
-    "indphi_vs_gradp2": (el.LAGRANGE_P2, True),
-    "gradw_vs_phi": (el.PHI_NC, False),
-    "phi_vs_gradp2": (el.LAGRANGE_P2, True),
+# kind -> (target space, space of the discrete data or None for an analytic
+# source, quadrature degree, test element, whether its gradients are tested)
+_LOADS = {
+    "f_vs_p2": (P2, None, 10, el.LAGRANGE_P2, False),
+    "gradw_vs_indphi": (PHI, P2, 2, el.NEDELEC2, False),
+    "indphi_vs_gradp2": (P2, PHI, 2, el.LAGRANGE_P2, True),
+    "gradw_vs_phi": (PHI, P2, 5, el.PHI_NC, False),
+    "phi_vs_gradp2": (P2, PHI, 5, el.LAGRANGE_P2, True),
 }
 
 
@@ -318,25 +249,23 @@ def assemble_load(kind, mesh, dofmaps, data):
     ``data`` is an analytic scalar field for ``f_vs_p2`` and a discrete
     function (object with ``dofmap`` and ``coeffs``) otherwise.
     """
-    if kind not in _LOAD_SPACES:
+    if kind not in _LOADS:
         raise AssemblyError(f"unknown load kind {kind!r}")
-    space = _LOAD_SPACES[kind]
+    space, source, degree, test, gradients = _LOADS[kind]
     if space not in dofmaps or dofmaps[space].mesh is not mesh:
         raise AssemblyError(f"missing or mismatched DofMap for space {space!r}")
     target = dofmaps[space]
-    rule = get_rule(TET, _LOAD_DEGREE[kind])
+    rule = get_rule(TET, degree)
     w, pts = rule.weights, rule.points
 
-    if kind != "f_vs_p2":
+    if source is not None:
         # deferred: interpolate builds on this module
         from .interpolate import fe_gradients, fe_values, nd_interpolant
 
         src = data.dofmap
-        expected = {"gradw_vs_indphi": P2, "indphi_vs_gradp2": PHI,
-                    "gradw_vs_phi": P2, "phi_vs_gradp2": PHI}[kind]
-        if src.space != expected:
+        if src.space != source:
             raise AssemblyError(
-                f"{kind} expects a {expected!r} function, got {src.space!r}"
+                f"{kind} expects a {source!r} function, got {src.space!r}"
             )
         if src.mesh is not mesh:
             raise AssemblyError("data function lives on a different mesh")
@@ -345,9 +274,8 @@ def assemble_load(kind, mesh, dofmaps, data):
         data = nd_interpolant(data, build_dof_map(ND, mesh))
 
     geom = mesh_geometry(mesh)
-    if kind == "f_vs_p2":
+    if source is None:
         points = quadrature_points(geom, pts)
-    test, gradients = _LOAD_TEST[kind]
     if geom.rep_geometry is not None:
         # weighted test basis per class, (nc, P * value size, nd): one GEMM
         # per class contracts the data values against it
@@ -359,9 +287,9 @@ def assemble_load(kind, mesh, dofmaps, data):
     nT = mesh.num_tets
     for lo in range(0, nT, _CHUNK):
         tids = np.arange(lo, min(lo + _CHUNK, nT))
-        if kind == "f_vs_p2":
+        if source is None:
             vals = np.asarray(data.value(points.take(tids))).reshape(tids.size, w.size)
-        elif kind in ("gradw_vs_indphi", "gradw_vs_phi"):
+        elif source == P2:  # a P2 datum enters through its gradient
             vals = fe_gradients(data, pts, tids)
         else:
             vals = fe_values(data, pts, tids)

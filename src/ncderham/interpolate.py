@@ -17,9 +17,10 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .assembly import (
-    ND, P2, PHI, Q, RT, W, AssemblyError, DofMap, _accumulate, gather_coefficients,
+    ND, P2, PHI, Q, RT, W, AssembledForm, AssemblyError, DofMap, _accumulate,
+    gather_coefficients,
 )
-from .mesh import mesh_geometry
+from .mesh import _find_rows, mesh_geometry
 
 
 @dataclass
@@ -32,14 +33,6 @@ class FeFunction:
     @property
     def space(self):
         return self.dofmap.space
-
-
-@dataclass
-class OperatorMatrix:
-    matrix: sp.csr_matrix
-    domain: str
-    codomain: str
-    kind: str
 
 
 def _edge_data(mesh):
@@ -209,12 +202,9 @@ def _circulation_rows(mesh, face_dofs, edge_dofs):
     ids = np.flatnonzero(~mesh.boundary_face)
     tri = mesh.faces[ids]  # ascending triples
     pairs = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)]
-    nv = mesh.num_vertices
-    ekey = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
     rows, cols, vals = [], [], []
     for i, j, sign in pairs:
-        key = tri[:, i].astype(np.int64) * nv + tri[:, j]
-        eid = np.searchsorted(ekey, key)
+        eid = _find_rows(mesh.edges, tri[:, [i, j]])
         for m in range(2):
             dof = edge_dofs[eid, m]
             keep = dof >= 0
@@ -243,7 +233,7 @@ def diff_operator_matrix(kind, dofmaps):
         cols.append(wmap.face_dofs[ids])
         vals.append(np.ones(ids.size))
         mat = _triplets(rows, cols, vals, (pmap.dim, wmap.dim))
-        return OperatorMatrix(mat, W, PHI, kind)
+        return AssembledForm(mat)
 
     if kind == "grad_nd":
         _require(dofmaps, P2, ND)
@@ -252,7 +242,7 @@ def diff_operator_matrix(kind, dofmaps):
             pmap.mesh, nmap.edge_dofs, pmap.vertex_dofs, pmap.edge_dofs
         )
         mat = _triplets(rows, cols, vals, (nmap.dim, pmap.dim))
-        return OperatorMatrix(mat, P2, ND, kind)
+        return AssembledForm(mat)
 
     if kind in ("curl", "curl_nd"):
         domain = PHI if kind == "curl" else ND
@@ -262,7 +252,7 @@ def diff_operator_matrix(kind, dofmaps):
             dmap.mesh, rmap.face_dofs, dmap.edge_dofs
         )
         mat = _triplets(rows, cols, vals, (rmap.dim, dmap.dim))
-        return OperatorMatrix(mat, domain, RT, kind)
+        return AssembledForm(mat)
 
     if kind == "div":
         _require(dofmaps, RT, Q)
@@ -280,7 +270,7 @@ def diff_operator_matrix(kind, dofmaps):
                 (geom.face_outward_sign[:, lf] / geom.volume)[keep]
             )
         mat = _triplets(rows, cols, vals, (qmap.dim, rmap.dim))
-        return OperatorMatrix(mat, RT, Q, kind)
+        return AssembledForm(mat)
 
     if kind == "ind":
         _require(dofmaps, PHI, ND)
@@ -288,7 +278,7 @@ def diff_operator_matrix(kind, dofmaps):
         eye = sp.eye(nmap.dim, format="csr")
         pad = sp.csr_matrix((nmap.dim, pmap.dim - nmap.dim))
         mat = sp.hstack([eye, pad]).tocsr()
-        return OperatorMatrix(mat, PHI, ND, kind)
+        return AssembledForm(mat)
 
     raise AssemblyError(f"unknown operator kind {kind!r}")
 

@@ -6,7 +6,7 @@ from ncderham import elements as el
 from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.fields import AnalyticField, smooth_case_fields
 from ncderham.interpolate import FeFunction, canonical_interpolate
-from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
+from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import TET, barycentric_monomial_mean, get_rule
 
 
@@ -52,6 +52,59 @@ def test_cell_table_boundary_elimination(mesh2, maps2):
         used = np.unique(table[table >= 0])
         assert used.size == m.dim
         assert used.min() == 0 and used.max() == m.dim - 1
+
+
+def _numbering_mesh(name):
+    if name == "tet":
+        vertices = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        return build_mesh_from_tets(vertices, np.array([[0, 1, 2, 3]]))
+    return build_unit_cube_mesh(int(name[1:]))
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n3", "tet"])
+def test_numbering_follows_the_element_layout(name):
+    """Each entity type with k DoFs per entity takes one contiguous block,
+    in layout order (vertices, edges, faces, cells): k consecutive numbers
+    per interior entity in ascending id, -1 on the boundary.  The cell
+    table gathers the blocks in the same order."""
+    mesh = _numbering_mesh(name)
+    nT = mesh.num_tets
+    entities = (
+        (mesh.boundary_vertex, mesh.tets),
+        (mesh.boundary_edge, mesh.tet_to_edges),
+        (mesh.boundary_face, mesh.tet_to_faces),
+        (np.zeros(nT, dtype=bool), np.arange(nT)[:, None]),
+    )
+    maps = {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+    for space, m in maps.items():
+        layout = el.KIND_INFO[m.element]["layout"]
+        arrays = (m.vertex_dofs, m.edge_dofs, m.face_dofs, m.cell_dofs)
+        offset, blocks = 0, []
+        for i, (k, dofs, (boundary, incidence)) in enumerate(zip(layout, arrays, entities)):
+            if not k:
+                assert dofs is None, space
+                continue
+            assert dofs.shape == ((boundary.size, k) if i == 1 else (boundary.size,))
+            dofs = dofs.reshape(boundary.size, k)
+            assert np.all(dofs[boundary] == -1), space
+            count = int(np.count_nonzero(~boundary))
+            expected = offset + np.arange(k * count).reshape(count, k)
+            assert np.array_equal(dofs[~boundary], expected), space
+            offset += k * count
+            blocks.append(dofs[incidence].reshape(nT, -1))
+        assert m.dim == offset, space
+        assert np.array_equal(m.cell_table, np.concatenate(blocks, axis=1)), space
+        table = m.cell_table
+        assert np.array_equal(np.unique(table[table >= 0]), np.arange(m.dim)), space
+
+    # ND is the edge prefix of Phi
+    assert np.array_equal(maps[ND].edge_dofs, maps[PHI].edge_dofs)
+    assert np.array_equal(maps[ND].cell_table, maps[PHI].cell_table[:, :12])
+    # P2 and W number the interior vertices first, in vertex-id order
+    nvi = int(np.count_nonzero(~mesh.boundary_vertex))
+    for space in (P2, W):
+        vdofs = maps[space].vertex_dofs
+        assert np.array_equal(vdofs[~mesh.boundary_vertex], np.arange(nvi))
 
 
 def test_poisson_p2_spd(mesh2, maps2):

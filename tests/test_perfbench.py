@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncderham import fields
+from ncderham import assembly, fields
 from ncderham.fields import layer_case_fields, quadrature_points, smooth_case_fields
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import TET, get_rule
@@ -32,6 +32,14 @@ def _tracing_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_tracer_kinds_match_the_assembly_tables():
+    """Every traced form or load span label names a kind of the assembly
+    tables, and every kind there has its span."""
+    tracing = _tracing_module()
+    assert set(tracing.FORM_KINDS) == set(assembly._FORMS)
+    assert set(tracing.LOAD_KINDS) == set(assembly._LOADS)
 
 
 def test_tracer_wraps_every_field_callable():
