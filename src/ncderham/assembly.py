@@ -33,7 +33,6 @@ SPACE_ELEMENT = {
 }
 
 _CHUNK = 1024
-_SCATTER_CHUNK = 8192
 
 
 class AssemblyError(Exception):
@@ -105,16 +104,19 @@ def gather_coefficients(dofmap, coeffs, tids=None):
 
 
 def _accumulate(row_table, col_table, local, shape):
-    """COO accumulation of (nT, a, b) local blocks into a csr matrix."""
+    """One COO pass of (nT, a, b) local blocks into a csr matrix.
+
+    The tables' leading a and b columns number the block's rows and
+    columns; entries on eliminated DoFs are dropped, and so are the zeros
+    the summed entries leave.
+    """
     nT, a, b = local.shape
-    rows = np.repeat(row_table[:, :, None], b, axis=2).reshape(-1)
-    cols = np.repeat(col_table[:, None, :], a, axis=1).reshape(-1)
-    vals = local.reshape(-1)
+    rows = np.broadcast_to(row_table[:, :a, None].astype(np.int32), local.shape)
+    cols = np.broadcast_to(col_table[:, None, :b].astype(np.int32), local.shape)
     keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=shape
-    )
-    return mat.tocsr()
+    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _pairs_contract(weights, vol, A, B):
@@ -174,22 +176,10 @@ def assemble_bilinear(kind, mesh, dofmaps):
         else local_reps
     )
 
-    nT = mesh.num_tets
-    blocks = []
-    for lo in range(0, nT, _SCATTER_CHUNK):
-        tids = np.arange(lo, min(lo + _SCATTER_CHUNK, nT))
-        blocks.append(
-            _accumulate(
-                rmap.cell_table[tids], cmap.cell_table[tids], local[tids],
-                (rmap.dim, cmap.dim),
-            )
-        )
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = mat + b
+    mat = _accumulate(rmap.cell_table, cmap.cell_table, local, (rmap.dim, cmap.dim))
     if symmetric:
         mat = (mat + mat.T) * 0.5
-    return AssembledForm(mat.tocsr())
+    return AssembledForm(mat)
 
 
 def _local_form(kind, g, degree):
@@ -208,21 +198,12 @@ def _local_form(kind, g, degree):
         return _pairs_contract(w, g.volume, v, v)
     if kind == "ind_mass":
         vnd = el.nodal_values(el.NEDELEC2, g, pts)
-        m12 = _pairs_contract(w, g.volume, vnd, vnd)
-        local = np.zeros((m12.shape[0], 16, 16))
-        local[:, :12, :12] = m12
-        return local
+        return _pairs_contract(w, g.volume, vnd, vnd)
     if kind in ("curl_coupling", "curl_coupling_plain"):
         vrt = el.nodal_values(el.RT0, g, pts)
         rt_int = np.einsum("q,tqja->tja", w, vrt) * g.volume[:, None, None]
-        if kind == "curl_coupling":
-            curls = el.nodal_curls(el.NEDELEC2, g)
-            local = np.zeros((curls.shape[0], 16, 4))
-            local[:, :12, :] = np.einsum("tia,tja->tij", curls, rt_int)
-        else:
-            curls = el.nodal_curls(el.PHI_NC, g)
-            local = np.einsum("tia,tja->tij", curls, rt_int)
-        return local
+        element = el.NEDELEC2 if kind == "curl_coupling" else el.PHI_NC
+        return np.einsum("tia,tja->tij", el.nodal_curls(element, g), rt_int)
     if kind == "div_coupling":
         div = el.rt_nodal_divergences(g)
         return (div * g.volume[:, None])[:, None, :]

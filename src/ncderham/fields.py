@@ -105,9 +105,7 @@ class QuadraturePoints:
         self.coords = []  # per axis, (n_keys, P) coordinates
         for a in range(3):
             bits = np.ascontiguousarray(vertices[:, :, a]).view(np.int64)
-            unique, keys = _unique_rows(bits)
-            reps = np.empty(unique.shape[0], dtype=np.int64)
-            reps[keys] = np.arange(keys.size)  # any tet of each key will do
+            reps, keys = _unique_rows(bits)
             self.keys.append(keys)
             coords = np.matmul(bary, vertices[reps])[..., a]
             self.coords.append(np.ascontiguousarray(coords))

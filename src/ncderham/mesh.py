@@ -117,10 +117,13 @@ class MeshGeometry:
 
 
 def _unique_rows(rows):
-    """Lexicographically sorted unique rows and the inverse map.
+    """First occurrence of each distinct row, in lexicographic order of the
+    rows, and the inverse map: ``np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)`` without the rows themselves.
 
     ``np.lexsort`` on the columns avoids both the structured-dtype sort of
-    ``np.unique(axis=0)`` and an integer key that could overflow int64.
+    ``np.unique(axis=0)`` and an integer key that could overflow int64; it
+    is stable, so each group of equal rows starts at its first occurrence.
     """
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
@@ -128,7 +131,7 @@ def _unique_rows(rows):
     new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     inverse = np.empty(rows.shape[0], dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    return order[new], inverse
 
 
 def build_mesh_from_tets(vertices, tets):
@@ -140,11 +143,13 @@ def build_mesh_from_tets(vertices, tets):
     nT = tets.shape[0]
 
     edge_pairs = np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
-    edges, edge_inv = _unique_rows(edge_pairs)
+    first, edge_inv = _unique_rows(edge_pairs)
+    edges = edge_pairs[first]
     tet_to_edges = edge_inv.reshape(nT, 6)
 
     face_triples = np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-    faces, face_inv = _unique_rows(face_triples)
+    first, face_inv = _unique_rows(face_triples)
+    faces = face_triples[first]
     tet_to_faces = face_inv.reshape(nT, 4)
 
     # each face's incident tets in ascending order fill its two slots
@@ -359,8 +364,8 @@ def _translation_classes(mesh, X):
         ],
         axis=1,
     )
-    _, reps, classes = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return classes.reshape(-1), reps
+    reps, classes = _unique_rows(key)
+    return classes, reps
 
 
 def tet_geometry(mesh, tid):

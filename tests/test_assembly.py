@@ -8,6 +8,7 @@ from ncderham.fields import AnalyticField, smooth_case_fields
 from ncderham.interpolate import FeFunction, canonical_interpolate
 from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import TET, barycentric_monomial_mean, get_rule
+from test_fields import _jittered_cube
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,52 @@ def test_curl_coupling_equals_rtmass_times_curl_matrix(mesh2, maps2):
     alt = K.T @ Mrt  # (curl psi_i, q_j) = sum_m K[m,i] (q_m, q_j)
     scale = max(abs(C).max(), 1e-30)
     assert abs(C - alt).max() / scale < 1e-12
+
+
+def _all_maps(mesh):
+    return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_forms_store_no_explicit_zeros(n):
+    """Entries that sum to zero are not stored, so a form's nnz counts its
+    nonzeros on every mesh size."""
+    mesh = build_unit_cube_mesh(n)
+    maps = _all_maps(mesh)
+    for kind in asm.FORM_KINDS:
+        A = asm.assemble_bilinear(kind, mesh, maps).matrix
+        assert np.count_nonzero(A.data == 0) == 0, kind
+
+
+def _dense_reference(kind, mesh, maps):
+    """The same local blocks scattered tet by tet with ``np.add.at`` into a
+    dense matrix; a spare last row and column take the eliminated DoFs."""
+    rs, cs, degree, symmetric = asm._FORMS[kind]
+    geom = mesh_geometry(mesh)
+    if geom.rep_geometry is None:
+        local = asm._local_form(kind, geom, degree)
+    else:
+        local = asm._local_form(kind, geom.rep_geometry, degree)[geom.classes]
+    rows = maps[rs].cell_table[:, : local.shape[1]]
+    cols = maps[cs].cell_table[:, : local.shape[2]]
+    A = np.zeros((maps[rs].dim + 1, maps[cs].dim + 1))
+    for t in range(mesh.num_tets):
+        np.add.at(A, (rows[t][:, None], cols[t][None, :]), local[t])
+    A = A[:-1, :-1]
+    return (A + A.T) * 0.5 if symmetric else A
+
+
+@pytest.mark.parametrize("name", ["kuhn2", "jittered2"])
+def test_one_pass_scatter_matches_a_dense_reference(name):
+    mesh = build_unit_cube_mesh(2) if name == "kuhn2" else _jittered_cube()
+    assert (mesh_geometry(mesh).rep_geometry is None) == (name == "jittered2")
+    maps = _all_maps(mesh)
+    for kind in asm.FORM_KINDS:
+        A = asm.assemble_bilinear(kind, mesh, maps).matrix
+        ref = _dense_reference(kind, mesh, maps)
+        assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max(), kind
+        if asm._FORMS[kind][3]:
+            assert (A != A.T).nnz == 0, kind
 
 
 def test_load_constant_matches_exact_integrals(mesh2, maps2):

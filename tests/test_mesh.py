@@ -12,6 +12,9 @@ from ncderham.mesh import (
     mesh_geometry,
     tet_geometry,
 )
+from ncderham.mesh import _translation_classes
+from test_fields import _jittered_cube
+
 
 
 def test_counts_n1():
@@ -131,6 +134,29 @@ def test_entity_tables_match_a_row_unique_reference():
     ):
         found = getattr(mesh, name)
         assert found.dtype == np.int64 and np.array_equal(found, ref), name
+
+
+@pytest.mark.parametrize("name", ["kuhn2", "kuhn3", "kuhn12", "jittered2"])
+def test_translation_classes_match_a_row_unique_reference(name):
+    """Class ids and representatives equal those of ``np.unique(axis=0)`` on
+    the class key: vertex offsets, then the edge and face vertex tables.
+    At n = 3 and 12 the lattice offsets are inexact, so there are more
+    classes than the six Kuhn permutations; a jittered mesh has none."""
+    mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
+    X = mesh.vertices[mesh.tets]
+    nT = mesh.num_tets
+    key = np.concatenate([
+        (X - X[:, :1]).reshape(nT, -1),
+        mesh.tet_edge_vertices.reshape(nT, -1),
+        mesh.tet_face_vertices.reshape(nT, -1),
+    ], axis=1)
+    _, ref_reps, ref_classes = np.unique(
+        key, axis=0, return_index=True, return_inverse=True)
+    classes, reps = _translation_classes(mesh, X)
+    assert np.array_equal(classes, ref_classes.reshape(-1))
+    assert np.array_equal(reps, ref_reps)
+    expected = {"kuhn2": 6, "kuhn3": 48, "kuhn12": 750, "jittered2": nT}
+    assert reps.size == expected[name]
 
 
 @pytest.mark.parametrize("n", [1, 2])
