@@ -103,19 +103,44 @@ def gather_coefficients(dofmap, coeffs, tids=None):
     return out
 
 
-def _accumulate(row_table, col_table, local, shape):
-    """One COO pass of (nT, a, b) local blocks into a csr matrix.
+def _accumulate(row_table, col_table, blocks, classes, shape, symmetric=False):
+    """One COO pass of per-class (nc, a, b) local blocks into a csr matrix;
+    tet t takes the block of its class ``classes[t]``.
 
     The tables' leading a and b columns number the block's rows and
     columns; entries on eliminated DoFs are dropped, and so are the zeros
-    the summed entries leave.
+    the summed entries leave.  A symmetric form (one table for rows and
+    columns) averages each block with its transpose and scatters only the
+    entries with row <= column; that triangle plus its transpose, with the
+    diagonal halved first, holds the diagonal and a copy of each M[i, j]
+    in M[j, i], both exactly.
     """
-    nT, a, b = local.shape
-    rows = np.broadcast_to(row_table[:, :a, None].astype(np.int32), local.shape)
-    cols = np.broadcast_to(col_table[:, None, :b].astype(np.int32), local.shape)
+    _, a, b = blocks.shape
+    if symmetric:
+        blocks = (blocks + blocks.transpose(0, 2, 1)) * 0.5
+    shape3 = (classes.size, a, b)
+    rows = np.broadcast_to(row_table[:, :a, None].astype(np.int32), shape3)
+    cols = np.broadcast_to(col_table[:, None, :b].astype(np.int32), shape3)
     keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    if symmetric:
+        keep &= rows <= cols
+    # per-tet blocks are gathered a chunk of tets at a time, never all at once
+    data = np.empty(np.count_nonzero(keep))
+    end = 0
+    for lo in range(0, classes.size, _CHUNK):
+        part = blocks[classes[lo : lo + _CHUNK]][keep[lo : lo + _CHUNK]]
+        data[end : end + part.size] = part
+        end += part.size
+    rows, cols = rows[keep], cols[keep]
+    del keep
+    coo = sp.coo_matrix((data, (rows, cols)), shape=shape)
+    del data, rows, cols
+    mat = coo.tocsr()
+    del coo
     mat.eliminate_zeros()
+    if symmetric:
+        mat.setdiag(mat.diagonal() * 0.5)
+        mat = mat + mat.T
     return mat
 
 
@@ -164,21 +189,19 @@ def assemble_bilinear(kind, mesh, dofmaps):
     geom = mesh_geometry(mesh)
 
     # local matrices once per translation class, then scatter per tet
-    rep = geom.rep_geometry if geom.rep_geometry is not None else geom
+    rep, classes = geom.rep_geometry, geom.classes
+    if rep is None:  # no translation structure: one class per tet
+        rep, classes = geom, np.arange(mesh.num_tets)
     pieces = []
     for lo in range(0, rep.num_tets, _CHUNK):
         tids = np.arange(lo, min(lo + _CHUNK, rep.num_tets))
         pieces.append(_local_form(kind, rep.take(tids), degree))
-    local_reps = np.concatenate(pieces, axis=0)
-    local = (
-        local_reps[geom.classes]
-        if local_reps.shape[0] < mesh.num_tets
-        else local_reps
+    blocks = np.concatenate(pieces, axis=0)
+    del pieces
+    mat = _accumulate(
+        rmap.cell_table, cmap.cell_table, blocks, classes,
+        (rmap.dim, cmap.dim), symmetric,
     )
-
-    mat = _accumulate(rmap.cell_table, cmap.cell_table, local, (rmap.dim, cmap.dim))
-    if symmetric:
-        mat = (mat + mat.T) * 0.5
     return AssembledForm(mat)
 
 

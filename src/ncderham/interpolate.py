@@ -90,7 +90,7 @@ def vertex_interpolant(wmap):
     # a P1 hat is numbered as the W DoF of its vertex value
     nvi = int(np.count_nonzero(wmap.vertex_dofs >= 0))
     summed = _accumulate(
-        wmap.cell_table, wmap.vertex_dofs[wmap.mesh.tets], hats[classes],
+        wmap.cell_table, wmap.vertex_dofs[wmap.mesh.tets], hats, classes,
         (wmap.dim, nvi),
     )
     rows = wmap.cell_table[wmap.cell_table >= 0]

@@ -350,12 +350,16 @@ def mesh_geometry(mesh):
 
 
 def _translation_classes(mesh, X):
-    """Group tets whose vertex offsets and orientation tables agree exactly.
+    """Group tets whose vertex offsets, rounded to 12 decimals, and
+    orientation tables agree.
 
-    Grouping is by bitwise equality, so it never merges tets that differ;
-    unstructured meshes simply fall back to one class per tet.
+    Lattice offsets such as 1/3 come out of ``X - X[:, 0]`` with different
+    last bits in different tets; rounding far below any edge length snaps
+    them together, so every Kuhn cube has its six classes.  Tets whose
+    offsets differ by 1e-12 or more are never merged; unstructured meshes
+    simply fall back to one class per tet.
     """
-    offs = X - X[:, 0:1, :]
+    offs = np.round(X - X[:, 0:1, :], 12)
     key = np.concatenate(
         [
             offs.reshape(mesh.num_tets, -1),
