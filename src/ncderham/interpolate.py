@@ -68,15 +68,17 @@ def canonical_interpolate(
 
 
 def vertex_interpolant(wmap):
-    """Averaged canonical W interpolant of the P1 hat of every interior
-    vertex, (wmap.dim, interior vertices): the auxiliary-space transfer of
-    the W potential's multigrid (P1 lies in W element by element and has no
-    broken Hessian, so it carries the potential's slowest modes).
+    """Averaged canonical interpolant of the P1 hat of every interior vertex
+    into the space of ``wmap``, (wmap.dim, interior vertices): the
+    auxiliary-space transfer of the multigrid cycles.  For W, P1 lies in W
+    element by element and has no broken Hessian, so it carries the
+    potential's slowest modes; for the conforming P2 it is the exact
+    embedding of P1.
 
-    A W DoF shared by several tets takes the average of their values; only
-    the normal-derivative face DoFs differ between tets.  The local matrix
-    depends only on a tet's translation class, so it is computed once per
-    class (six on a Kuhn cube).
+    A DoF shared by several tets takes the average of their values; for W
+    only the normal-derivative face DoFs differ between tets, for P2 none
+    do.  The local matrix depends only on a tet's translation class, so it
+    is computed once per class (six on a Kuhn cube).
     """
     geom = mesh_geometry(wmap.mesh)
     rep, classes = geom.rep_geometry, geom.classes

@@ -125,8 +125,8 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
     is Jacobi-preconditioned.  ``stats``, when given a dict, receives the
     solve's record (see ``_pcg``) and its ``preconditioner``, plus a
     multigrid preconditioner's ``levels``, ``coarse_dims`` (the dimension
-    of every level, finest first) and ``setup_s``.  A solve stopped
-    at ``spd_maxiter`` raises; a drifted one does not.
+    of every level, finest first) and ``setup_s`` (see ``VCycle.record``).
+    A solve stopped at ``spd_maxiter`` raises; a drifted one does not.
     """
     config = config or SolverConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -138,7 +138,7 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
             raise SolverFailure("matrix has nonpositive diagonal; not SPD")
         M, info = sp.diags(1.0 / diag), {"preconditioner": "jacobi"}
     else:
-        info = M.info
+        info = M.record()
     x, record = _pcg(matrix, rhs, config, M, atol)
     record = {**info, **record}
     if stats is not None:
@@ -157,8 +157,9 @@ class VCycle(spla.LinearOperator):
     The coarse operators are Galerkin products ``P^T A P`` of the
     transfers, finest first, so the cycle needs no coarse discretization
     and stays robust in eps.  A transfer need not come from a nested mesh:
-    the W potential's first one maps an auxiliary space (the P1 vertex
-    space of the same mesh) into W.  Each level but the coarsest smooths with
+    the first one of the W potential's and the P2 Poisson cycles maps an
+    auxiliary space (the P1 vertex space of the same mesh) into W or P2.
+    Each level but the coarsest smooths with
     ``SMOOTHING_STEPS`` Chebyshev steps on the Jacobi-scaled operator before
     and after its coarse correction, over ``[lmax / 30, 1.1 lmax]`` with
     ``lmax`` estimated by Lanczos; the coarsest level is solved by sparse LU.
@@ -176,7 +177,7 @@ class VCycle(spla.LinearOperator):
         self.ops = [_without_roundoff(matrix)]
         for P, R in zip(self.transfers, self.restrictions):
             coarse = R @ (self.ops[-1] @ P)
-            self.ops.append(_without_roundoff((coarse + coarse.T) * 0.5))
+            self.ops.append(_without_roundoff(_symmetric_part(coarse)))
         self.inv_diag = [1.0 / A.diagonal() for A in self.ops[:-1]]
         self.bounds = []
         for A, dinv in zip(self.ops[:-1], self.inv_diag):
@@ -186,6 +187,14 @@ class VCycle(spla.LinearOperator):
         self.info = {"preconditioner": "multigrid", "levels": len(self.ops),
                      "coarse_dims": [A.shape[0] for A in self.ops],
                      "setup_s": time.perf_counter() - t0}
+
+    def record(self):
+        """``info`` for one solve.  The set-up time counts once, on the first
+        solve that uses the cycle; solves that reuse a cached cycle read
+        ``setup_s`` 0.0."""
+        info = dict(self.info)
+        self.info["setup_s"] = 0.0
+        return info
 
     def _matvec(self, b):
         return self._cycle(0, np.ravel(b))
@@ -229,10 +238,16 @@ def _without_roundoff(A):
     slow the cycle's products."""
     A = A.tocsr()
     d = np.sqrt(np.abs(A.diagonal()))
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    keep = np.abs(A.data) >= 1e-12 * d[rows] * d[A.indices]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=A.shape[0]))])
-    return sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    # at most two entry-sized temporaries at a time besides A: the W
+    # potential's matrix has 2.3 M entries at n=16
+    scale = np.repeat(1e-12 * d, np.diff(A.indptr))
+    scale *= d[A.indices]
+    drop = np.abs(A.data) < scale
+    del scale
+    A = A.copy()
+    A.data[drop] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 LANCZOS_STEPS = 15  # per level of the V-cycle, for its Chebyshev bounds
@@ -372,10 +387,8 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
     nphi = A.shape[0]
     nq = D.shape[0]
 
-    Ared = (G.T @ (A @ G)).tocsr()
-    Ared = ((Ared + Ared.T) * 0.5).tocsr()
-    Z = (Knd.T @ (red.rt_mass @ Knd)).tocsr()
-    Z = ((Z + Z.T) * 0.5).tocsr()
+    Ared = _symmetric_part((G.T @ (A @ G)).tocsr())
+    Z = _symmetric_part((Knd.T @ (red.rt_mass @ Knd)).tocsr())
     Gnd = red.grad_nd
     L = (Gnd.T @ Gnd).tocsr()  # graph Laplacian of the gradient range
 
@@ -447,6 +460,15 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
     return phi, lam, p, 0.0, info
 
 
+def _symmetric_part(M):
+    """``(M + M.T) / 2`` in arrays of its own size: a scipy sum keeps the
+    buffers it allocates for ``nnz(M) + nnz(M.T)`` entries, twice what a
+    matrix with a symmetric pattern needs."""
+    M = M + M.T
+    M.data *= 0.5
+    return M.copy()
+
+
 def _maxiter_note(krylov):
     hits = [f"{r['stage']} (sweep {r['sweep']})" for r in krylov
             if r["reason"] == "maxiter"]
@@ -489,33 +511,45 @@ def _kuhn_levels(n):
     return levels
 
 
-def _takes_multigrid(mesh, eps):
-    """Whether the W potential on ``mesh`` is preconditioned by the V-cycle.
-
-    Where it was measured to pay (README, "Determinism and performance"):
-    on a Kuhn cube with n >= 16 and eps >= h / 10.  The vertex-space cycle
-    also gains somewhat below that line and at n=12, where a forced solve
-    once met the first-sweep flux divergence; moving the line needs its own
-    measurements.
+def _takes_multigrid(mesh):
+    """Whether the P2 Poisson and W potential solves on ``mesh`` are
+    preconditioned by their V-cycles: on a Kuhn cube with n >= 16, for every
+    eps (README, "Determinism and performance").  Below that size the
+    cycles gain little, and a cold single solve such as the n=8 layer case
+    lost with the W cycle forced, because it pays the set-up for one solve.
     """
     n = mesh.kuhn_n
-    return n is not None and n >= 16 and eps >= mesh.h / 10
+    return n is not None and n >= 16
 
 
-def _w_transfers(mesh, dofmaps, cache):
-    """Transfers of the W potential's V-cycle on a Kuhn cube, finest first;
-    built once per level ``cache``.
+def _cycle_transfers(space, mesh, dofmaps, cache):
+    """Transfers of the V-cycle on ``space`` (W or P2) on a Kuhn cube,
+    finest first; built once per level ``cache``.
 
     The first is an auxiliary space, not a nested one: the P1 vertex space
-    of the same mesh (``vertex_interpolant``), which carries the potential's
-    slowest modes.  The P1 prolongations down the Kuhn hierarchy follow.
+    of the same mesh (``vertex_interpolant``), which carries the W
+    potential's slowest modes and is the exact P1 subspace of P2.  The P1
+    prolongations down the Kuhn hierarchy follow, one chain shared by both
+    spaces.
     """
-    if "w_transfers" not in cache:
-        levels = _kuhn_levels(mesh.kuhn_n)
-        cache["w_transfers"] = (vertex_interpolant(dofmaps[W]),) + tuple(
-            p1_kuhn_prolongation(n) for n in levels[:-1]
+    if "p1_prolongations" not in cache:
+        cache["p1_prolongations"] = tuple(
+            p1_kuhn_prolongation(n) for n in _kuhn_levels(mesh.kuhn_n)[:-1]
         )
-    return cache["w_transfers"]
+    key = f"{space}_transfers"
+    if key not in cache:
+        cache[key] = (vertex_interpolant(dofmaps[space]),) + cache["p1_prolongations"]
+    return cache[key]
+
+
+def _p2_cycle(mesh, dofmaps, cache):
+    """V-cycle of the P2 Poisson matrix, built once per level ``cache``: the
+    matrix depends on neither eps nor the method, so both Poisson stages of
+    every solve on the level share one cycle."""
+    if "p2_cycle" not in cache:
+        S = _level_matrix("poisson_p2", mesh, dofmaps, cache)
+        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, mesh, dofmaps, cache))
+    return cache["p2_cycle"]
 
 
 def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
@@ -532,13 +566,15 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     t_start = time.perf_counter()
     dofmaps = dofmaps or build_spaces(mesh)
     forms = forms if forms is not None else {}
+    multigrid = _takes_multigrid(mesh)
 
     S = _level_matrix("poisson_p2", mesh, dofmaps, forms)
     b_f = asm.assemble_load("f_vs_p2", mesh, dofmaps, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
+    S_cycle = _p2_cycle(mesh, dofmaps, forms) if multigrid else None
     try:
-        w = solve_spd(S, b_f, config, stats=poisson_w)
+        w = solve_spd(S, b_f, config, stats=poisson_w, M=S_cycle)
     except SolverFailure as exc:
         raise SolverFailure(f"stage 1 (poisson w): {exc}", exc.residuals) from exc
     t_w = time.perf_counter() - t0
@@ -547,7 +583,8 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     interp = config.method == "interp"
     stiff = _level_matrix("phi_stiffness", mesh, dofmaps, forms)
     mass = _level_matrix("ind_mass" if interp else "phi_mass", mesh, dofmaps, forms)
-    A = (config.eps**2) * stiff + mass
+    # copied so that it holds only its own entries (see _symmetric_part)
+    A = ((config.eps**2) * stiff + mass).copy()
     C = _level_matrix(
         "curl_coupling" if interp else "curl_coupling_plain", mesh, dofmaps, forms
     )
@@ -561,10 +598,7 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
         curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
         grad_nd=_level_matrix("grad_nd", mesh, dofmaps, forms),
         rt_mass=_level_matrix("rt_mass", mesh, dofmaps, forms),
-        w_transfers=(
-            _w_transfers(mesh, dofmaps, forms)
-            if _takes_multigrid(mesh, config.eps) else None
-        ),
+        w_transfers=_cycle_transfers(W, mesh, dofmaps, forms) if multigrid else None,
     )
     t0 = time.perf_counter()
     try:
@@ -584,7 +618,7 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     poisson_u = {}
     t0 = time.perf_counter()
     try:
-        u = solve_spd(S, b_u, config, stats=poisson_u)
+        u = solve_spd(S, b_u, config, stats=poisson_u, M=S_cycle)
     except SolverFailure as exc:
         raise SolverFailure(f"stage 4 (poisson u): {exc}", exc.residuals) from exc
     t_u = time.perf_counter() - t0

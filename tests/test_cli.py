@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ncderham import solvers
 from ncderham.cli import ConfigError, StudyConfig, main, run_study, run_verify
 from ncderham.solvers import SolverConfig, SolverFailure
 
@@ -79,6 +80,35 @@ def test_run_study_writes_outputs(tmp_path):
     assert {"potential", "projection", "flux"} <= set(stages)
     for record in data[1]["krylov"]:
         assert set(record) == {"stage", "sweep", "iterations", "reason"}
+
+
+def test_study_builds_one_p2_cycle_per_level(tmp_path, monkeypatch):
+    """With the multigrid route forced onto levels 2 and 4, every row's P2
+    Poisson records carry the cycle's coarse_dims, and the eight rows of a
+    level share one P2 cycle."""
+    built = []
+
+    class CountingVCycle(solvers.VCycle):
+        def __init__(self, matrix, transfers):
+            super().__init__(matrix, transfers)
+            built.append(matrix.shape[0])
+
+    monkeypatch.setattr(solvers, "_takes_multigrid", lambda mesh: True)
+    monkeypatch.setattr(solvers, "VCycle", CountingVCycle)
+    out = tmp_path / "results"
+    assert main([
+        "--test", "both", "--method", "both", "--epsilon", "1,1e-4",
+        "--levels", "2,4", "--serial", "--out", str(out),
+    ]) == 0
+    rows = json.loads((out / "study.json").read_text())
+    p2_dims = {n: (2 * n - 1) ** 3 for n in (2, 4)}  # the interior P2 nodes
+    assert len(rows) == 16
+    for row in rows:
+        for r in row["krylov"]:
+            if r["stage"].startswith("poisson"):
+                assert r["coarse_dims"][0] == p2_dims[row["n"]]
+            assert ("coarse_dims" in r) == (r["stage"] not in ("projection", "flux"))
+    assert sorted(d for d in built if d in p2_dims.values()) == [27, 343]
 
 
 def test_serial_runs_are_byte_identical(tmp_path):

@@ -294,3 +294,18 @@ def test_w_prolongation_averages_the_per_tet_canonical_interpolants():
     reference = total / count
     found = vertex_interpolant(wmap) @ x
     assert np.abs(found - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_vertex_interpolant_embeds_p1_in_p2():
+    """On the conforming P2 space the vertex interpolant is the exact
+    embedding of P1: the P2 function of ``P @ x`` is linear on each tet, with
+    the vertex values x."""
+    mesh = build_unit_cube_mesh(3)
+    p2map = asm.build_dof_map(P2, mesh)
+    x = np.random.default_rng(2).standard_normal(int((~mesh.boundary_vertex).sum()))
+    values = np.zeros(mesh.num_vertices)
+    values[~mesh.boundary_vertex] = x
+    bary = get_rule(TET, 3).points
+    found = fe_values(FeFunction(p2map, vertex_interpolant(p2map) @ x), bary)
+    expected = values[mesh.tets] @ bary.T
+    assert np.abs(found - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from ncderham import assembly as asm
 from ncderham import solvers
-from ncderham.assembly import ND, PHI, W
+from ncderham.assembly import ND, P2, PHI, W
 from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
 from ncderham.errors import compute_error, err_phi
@@ -325,7 +325,15 @@ def potential_matrix(mesh, maps, eps):
 def w_transfers(mesh):
     """The V-cycle's transfers on ``mesh``: W from the P1 vertex space, then
     P1 down the Kuhn hierarchy."""
-    return solvers._w_transfers(mesh, build_spaces(mesh), {})
+    return solvers._cycle_transfers(W, mesh, build_spaces(mesh), {})
+
+
+def assert_symmetric_and_positive(B, rng):
+    for _ in range(5):
+        x, y = rng.standard_normal((2, B.shape[0]))
+        Bx, By = B @ x, B @ y
+        assert abs(Bx @ y - x @ By) <= 1e-12 * np.linalg.norm(Bx) * np.linalg.norm(y)
+        assert x @ Bx > 0
 
 
 def test_vcycle_is_symmetric_and_positive(setup4):
@@ -336,12 +344,44 @@ def test_vcycle_is_symmetric_and_positive(setup4):
     B = VCycle(A, transfers)
     assert B.info["preconditioner"] == "multigrid" and B.info["levels"] == 3
     assert B.info["coarse_dims"] == [maps[W].dim, 27, 1]
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        x, y = rng.standard_normal((2, A.shape[0]))
-        Bx, By = B @ x, B @ y
-        assert abs(Bx @ y - x @ By) <= 1e-12 * np.linalg.norm(Bx) * np.linalg.norm(y)
-        assert x @ Bx > 0
+    assert_symmetric_and_positive(B, np.random.default_rng(11))
+
+
+def test_p2_cycle_is_symmetric_and_shares_the_p1_chain(setup4):
+    """The P2 Poisson cycle starts from the P1 vertex space as the W one
+    does; both cycles of a level share one P1 prolongation chain, and the
+    set-up time goes to the first record only."""
+    mesh, maps = setup4
+    cache = {}
+    B = solvers._p2_cycle(mesh, maps, cache)
+    assert solvers._p2_cycle(mesh, maps, cache) is B
+    assert [P.shape for P in B.transfers] == [(maps[P2].dim, 27), (27, 1)]
+    w_chain = solvers._cycle_transfers(W, mesh, maps, cache)[1:]
+    assert all(a is b for a, b in zip(B.transfers[1:], w_chain, strict=True))
+    assert_symmetric_and_positive(B, np.random.default_rng(13))
+    first, second = B.record(), B.record()
+    assert first["setup_s"] > 0 and second["setup_s"] == 0.0
+    assert first["coarse_dims"] == second["coarse_dims"] == [maps[P2].dim, 27, 1]
+
+
+def test_symmetric_part_and_roundoff_filter_keep_their_references_bits(setup4):
+    """``_symmetric_part`` gives the bits of ``(M + M.T) * 0.5`` in arrays of
+    its own; ``_without_roundoff`` keeps exactly the entries of the plain
+    mask ``|a_ij| >= 1e-12 sqrt(a_ii a_jj)``."""
+    mesh, maps = setup4
+    M = potential_matrix(mesh, maps, 1.0)
+    S = solvers._symmetric_part(M)
+    ref = ((M + M.T) * 0.5).tocsr()
+    for k in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S, k), getattr(ref, k))
+    for stored in (S.data, S.indices):  # a plain sum keeps 2 nnz of each
+        assert (stored if stored.base is None else stored.base).size == S.nnz
+    d = np.sqrt(S.diagonal())
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    keep = np.abs(S.data) >= 1e-12 * d[rows] * d[S.indices]
+    F = solvers._without_roundoff(S)
+    assert 0 < np.count_nonzero(~keep) and F.nnz == np.count_nonzero(keep)
+    assert np.array_equal(F.data, S.data[keep]) and np.array_equal(F.indices, S.indices[keep])
 
 
 def test_vcycle_on_one_level_is_the_direct_solve(setup2):
@@ -359,14 +399,14 @@ def test_vcycle_on_one_level_is_the_direct_solve(setup2):
 
 @pytest.fixture(scope="module")
 def stiff_n8():
-    """The n=8, eps=1 smooth case with the W potential forced onto the
-    multigrid route (n=8 is below the selection's size line, so production
-    solves take Jacobi there)."""
+    """The n=8, eps=1 smooth case with the P2 Poisson and W potential solves
+    forced onto the multigrid route (n=8 is below the selection's size line,
+    so production solves take Jacobi there)."""
     mesh = build_unit_cube_mesh(8)
     maps = build_spaces(mesh)
     data = smooth_case_fields(1.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_takes_multigrid", lambda mesh, eps: True)
+        mp.setattr(solvers, "_takes_multigrid", lambda mesh: True)
         sol = decoupled_solve(data["f"], mesh, SolverConfig(eps=1.0), maps)
     return mesh, data, sol
 
@@ -405,7 +445,11 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
         assert 1 <= r["iterations"] <= 100
     saddle = sol.diagnostics["saddle"]
     assert saddle["residuals"][-1] <= SolverConfig().saddle_tol
-    others = [r for r in sol.diagnostics["krylov"] if r["stage"] != "potential"]
+    poisson = [r for r in sol.diagnostics["krylov"] if r["stage"].startswith("poisson")]
+    assert [r["preconditioner"] for r in poisson] == ["multigrid"] * 2
+    assert all(r["coarse_dims"] == [sol.diagnostics["dims"][P2], 7**3, 3**3, 1]
+               for r in poisson)
+    others = [r for r in sol.diagnostics["krylov"] if r["stage"] in ("projection", "flux")]
     assert {r["preconditioner"] for r in others} == {"jacobi"}
     assert all("setup_s" not in r for r in others)
 
@@ -414,7 +458,8 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
     (16, 1.0, True),    # P1 levels 16 -> 8 -> 4 -> 2
     (24, 1.0, True),    # 24 -> 12 -> 6 -> 3
     (32, 1e-2, True),   # eps / h = 0.18
-    (16, 1e-2, False),  # eps / h = 0.09, below the line
+    (16, 1e-2, True),   # eps / h = 0.09: eps does not enter the rule
+    (16, 1e-8, True),   # the layer test's smallest eps
     (8, 1.0, False),    # below the size line
     (18, 1.0, True),    # 18 -> 9: the coarse P1 LU has 512 unknowns
     (20, 1.0, True),    # 20 -> 10 -> 5
@@ -422,16 +467,56 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
     (None, 1.0, False),  # not a Kuhn cube (build_mesh_from_tets)
 ])
 def test_multigrid_selection(n, eps, expected):
-    """The V-cycle runs on Kuhn cubes with n >= 16 once eps >= h / 10;
-    decided without building a level."""
+    """Both V-cycles run on Kuhn cubes with n >= 16, whatever eps (the rows
+    span eps/h from 1e-7 to 9); decided from the mesh alone, without
+    building a level."""
     mesh = types.SimpleNamespace(kuhn_n=n, h=3**0.5 / (n or 16))
-    assert solvers._takes_multigrid(mesh, eps) == expected
+    assert solvers._takes_multigrid(mesh) == expected
 
 
-def test_potential_keeps_jacobi_at_small_eps():
+def test_n8_keeps_jacobi_on_every_stage():
     mesh = build_unit_cube_mesh(8)
     sol = decoupled_solve(
         smooth_case_fields(1e-4)["f"], mesh, SolverConfig(eps=1e-4), build_spaces(mesh)
     )
-    potentials = [r for r in sol.diagnostics["krylov"] if r["stage"] == "potential"]
-    assert potentials and all(r["preconditioner"] == "jacobi" for r in potentials)
+    stages = [r["stage"] for r in sol.diagnostics["krylov"]]
+    assert stages[0] == "poisson_w" and stages[-1] == "poisson_u" and "potential" in stages
+    assert {r["preconditioner"] for r in sol.diagnostics["krylov"]} == {"jacobi"}
+
+
+@pytest.fixture(scope="module")
+def smooth_n16():
+    """Two n=16, eps=1e-4 smooth solves on one level cache."""
+    mesh = build_unit_cube_mesh(16)
+    maps, forms = build_spaces(mesh), {}
+    f = smooth_case_fields(1e-4)["f"]
+    config = SolverConfig(eps=1e-4)
+    first = decoupled_solve(f, mesh, config, maps, forms)
+    cycle = forms["p2_cycle"]
+    second = decoupled_solve(f, mesh, config, maps, forms)
+    return first, second, cycle, forms
+
+
+def test_p2_poisson_takes_the_multigrid_cycle_at_n16(smooth_n16):
+    first, second, _, _ = smooth_n16
+    dims = first.diagnostics["dims"]
+    for sol in (first, second):
+        records = {r["stage"]: r for r in sol.diagnostics["krylov"]}
+        for stage in ("poisson_w", "potential", "poisson_u"):
+            r = records[stage]
+            assert r["preconditioner"] == "multigrid" and r["reason"] == "converged"
+            assert 1 <= r["iterations"] <= 20
+        for stage in ("poisson_w", "poisson_u"):
+            assert records[stage]["coarse_dims"] == [dims[P2], 15**3, 7**3, 3**3, 1]
+    assert np.array_equal(first.u_h.coeffs, second.u_h.coeffs)
+
+
+def test_p2_cycle_is_built_once_per_level(smooth_n16):
+    """The second solve on the level reuses the first one's cycle, so its
+    Poisson records show no set-up; so does the first solve's poisson_u."""
+    first, second, cycle, forms = smooth_n16
+    assert forms["p2_cycle"] is cycle
+    setups = [[r["setup_s"] for r in sol.diagnostics["krylov"]
+               if r["stage"].startswith("poisson")] for sol in (first, second)]
+    assert setups[0][0] > 0
+    assert setups[0][1:] + setups[1] == [0.0] * 3
