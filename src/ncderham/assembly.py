@@ -275,7 +275,7 @@ def assemble_load(kind, mesh, dofmaps, data):
             raise AssemblyError("data function lives on a different mesh")
 
     if kind == "indphi_vs_gradp2":
-        data = nd_interpolant(data, build_dof_map(ND, mesh))
+        data = nd_interpolant(data)
 
     geom = mesh_geometry(mesh)
     if source is None:

@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assembly import ND, build_dof_map
 from .fields import quadrature_points
 from .interpolate import fe_gradients, fe_values, nd_interpolant
 from .mesh import mesh_geometry
@@ -42,7 +41,7 @@ def compute_error(kind, fe, exact, quad_degree=8):
         raise ErrorCapability(f"exact field lacks {attr!r} data")
     mesh = fe.dofmap.mesh
     if kind == "l2_vs_ind":
-        fe = nd_interpolant(fe, build_dof_map(ND, mesh))
+        fe = nd_interpolant(fe)
     geom = mesh_geometry(mesh)
     rule = get_rule(TET, quad_degree)
     w, pts = rule.weights, rule.points

@@ -219,11 +219,13 @@ def _circulation_rows(mesh, face_dofs, edge_dofs):
 def diff_operator_matrix(kind, dofmaps):
     """Exact sparse operator between spaces.
 
-    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt), ``div`` (rt -> q),
-    ``ind`` (phi -> nd, edge-DoF selection), ``grad_nd`` (p2 -> nd),
-    ``curl_nd`` (nd -> rt).
+    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt), ``div`` (rt -> q), and
+    their blocks on the Nedelec space ND: ``grad_nd = grad[:nd, :p2]``
+    (p2 -> nd) and ``curl_nd = curl[:, :nd]`` (nd -> rt).  ND numbers the
+    edge DoFs of Phi, which come first, and P2 the vertex and edge DoFs of
+    W, which come first too (``build_dof_map``).
     """
-    if kind == "grad":
+    if kind in ("grad", "grad_nd"):
         _require(dofmaps, W, PHI)
         wmap, pmap = dofmaps[W], dofmaps[PHI]
         mesh = wmap.mesh
@@ -235,25 +237,21 @@ def diff_operator_matrix(kind, dofmaps):
         cols.append(wmap.face_dofs[ids])
         vals.append(np.ones(ids.size))
         mat = _triplets(rows, cols, vals, (pmap.dim, wmap.dim))
-        return AssembledForm(mat)
-
-    if kind == "grad_nd":
-        _require(dofmaps, P2, ND)
-        pmap, nmap = dofmaps[P2], dofmaps[ND]
-        rows, cols, vals = _edge_gradient_rows(
-            pmap.mesh, nmap.edge_dofs, pmap.vertex_dofs, pmap.edge_dofs
-        )
-        mat = _triplets(rows, cols, vals, (nmap.dim, pmap.dim))
+        if kind == "grad_nd":
+            _require(dofmaps, W, PHI, P2, ND)
+            mat = mat[: dofmaps[ND].dim, : dofmaps[P2].dim]
         return AssembledForm(mat)
 
     if kind in ("curl", "curl_nd"):
-        domain = PHI if kind == "curl" else ND
-        _require(dofmaps, domain, RT)
-        dmap, rmap = dofmaps[domain], dofmaps[RT]
+        _require(dofmaps, PHI, RT)
+        pmap, rmap = dofmaps[PHI], dofmaps[RT]
         rows, cols, vals = _circulation_rows(
-            dmap.mesh, rmap.face_dofs, dmap.edge_dofs
+            pmap.mesh, rmap.face_dofs, pmap.edge_dofs
         )
-        mat = _triplets(rows, cols, vals, (rmap.dim, dmap.dim))
+        mat = _triplets(rows, cols, vals, (rmap.dim, pmap.dim))
+        if kind == "curl_nd":
+            _require(dofmaps, PHI, RT, ND)
+            mat = mat[:, : dofmaps[ND].dim]
         return AssembledForm(mat)
 
     if kind == "div":
@@ -274,14 +272,6 @@ def diff_operator_matrix(kind, dofmaps):
         mat = _triplets(rows, cols, vals, (qmap.dim, rmap.dim))
         return AssembledForm(mat)
 
-    if kind == "ind":
-        _require(dofmaps, PHI, ND)
-        pmap, nmap = dofmaps[PHI], dofmaps[ND]
-        eye = sp.eye(nmap.dim, format="csr")
-        pad = sp.csr_matrix((nmap.dim, pmap.dim - nmap.dim))
-        mat = sp.hstack([eye, pad]).tocsr()
-        return AssembledForm(mat)
-
     raise AssemblyError(f"unknown operator kind {kind!r}")
 
 
@@ -292,8 +282,16 @@ def _triplets(rows, cols, vals, shape):
     return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
 
 
-def nd_interpolant(phi_fe, nd_dofmap):
-    """The edge-interpolated P1 companion of a Phi function."""
+def nd_interpolant(phi_fe):
+    """The edge-interpolated P1 companion of a Phi function: its ND
+    coefficients are the Phi edge DoFs, which Phi numbers first, on a view
+    of the Phi map (the edge table and the 12 leading cell slots)."""
     if phi_fe.space != PHI:
         raise AssemblyError("nd_interpolant expects a phi function")
-    return FeFunction(nd_dofmap, phi_fe.coeffs[: nd_dofmap.dim].copy())
+    pmap = phi_fe.dofmap
+    ndim = int(np.count_nonzero(pmap.edge_dofs >= 0))
+    nmap = DofMap(
+        ND, pmap.mesh, ndim, None, pmap.edge_dofs, None, None,
+        pmap.cell_table[:, : el.KIND_INFO[el.NEDELEC2]["dim"]],
+    )
+    return FeFunction(nmap, phi_fe.coeffs[:ndim].copy())

@@ -43,7 +43,6 @@ class SimplicialMesh:
     boundary_vertex: np.ndarray = field(default=None)
     boundary_edge: np.ndarray = field(default=None)
     boundary_face: np.ndarray = field(default=None)
-    h: float = 0.0
     kuhn_n: int = None  # subdivisions per axis of a Kuhn unit-cube mesh
 
     @property
@@ -70,9 +69,6 @@ class SimplicialMesh:
             int(np.count_nonzero(~self.boundary_face)),
         )
 
-    def euler_characteristic(self):
-        return self.num_vertices - self.num_edges + self.num_faces - self.num_tets
-
 
 @dataclass
 class MeshGeometry:
@@ -86,7 +82,6 @@ class MeshGeometry:
     face_normals: np.ndarray  # (nT, 4, 3)
     face_areas: np.ndarray  # (nT, 4)
     face_outward_sign: np.ndarray  # (nT, 4)
-    diameter: np.ndarray  # (nT,)
     edge_vertices: np.ndarray = None  # (nT, 6, 2) local ids, ascending global
     face_vertices: np.ndarray = None  # (nT, 4, 3) local ids, ascending global
     # tets grouped by exact translation class: structured meshes repeat a
@@ -108,7 +103,6 @@ class MeshGeometry:
             self.face_normals[tids],
             self.face_areas[tids],
             self.face_outward_sign[tids],
-            self.diameter[tids],
             self.edge_vertices[tids],
             self.face_vertices[tids],
             self.classes[tids] if self.classes is not None else None,
@@ -186,9 +180,6 @@ def build_mesh_from_tets(vertices, tets):
         tet_face_vertices=tet_face_vertices,
     )
     classify_boundary(mesh)
-    X = vertices[tets]
-    diff = X[:, :, None, :] - X[:, None, :, :]
-    mesh.h = float(np.sqrt((diff**2).sum(-1).max()))
     return mesh
 
 
@@ -325,9 +316,6 @@ def mesh_geometry(mesh):
     out = -grad_lambda / np.linalg.norm(grad_lambda, axis=2)[:, :, None]
     sign = np.sign(np.einsum("tfk,tfk->tf", out, normals))
 
-    diff = X[:, :, None, :] - X[:, None, :, :]
-    diam = np.sqrt((diff**2).sum(-1).max(axis=(1, 2)))
-
     geom = MeshGeometry(
         vertices=X,
         volume=vol,
@@ -337,7 +325,6 @@ def mesh_geometry(mesh):
         face_normals=normals,
         face_areas=areas,
         face_outward_sign=sign,
-        diameter=diam,
         edge_vertices=mesh.tet_edge_vertices,
         face_vertices=mesh.tet_face_vertices,
     )
@@ -370,10 +357,3 @@ def _translation_classes(mesh, X):
     )
     reps, classes = _unique_rows(key)
     return classes, reps
-
-
-def tet_geometry(mesh, tid):
-    """Batched geometry of the single tet ``tid`` (arrays over one tet)."""
-    if tid < 0 or tid >= mesh.num_tets:
-        raise IndexError(f"tet id {tid} out of range")
-    return mesh_geometry(mesh).take([tid])

@@ -23,7 +23,8 @@ from . import assembly as asm
 from .assembly import ND, P2, PHI, Q, RT, W
 from .fields import AnalyticField
 from .interpolate import (
-    FeFunction, diff_operator_matrix, p1_kuhn_prolongation, vertex_interpolant,
+    FeFunction, diff_operator_matrix, nd_interpolant, p1_kuhn_prolongation,
+    vertex_interpolant,
 )
 
 
@@ -52,23 +53,6 @@ class SolverConfig:
         for tol in (self.spd_tol, self.saddle_tol):
             if not 0 < tol < 1:
                 raise ValueError(f"tolerances must lie in (0, 1), got {tol}")
-
-
-@dataclass
-class ReductionOperators:
-    """Exact operator matrices the structure-exploiting saddle solve uses:
-    the gradient (scalar-to-vector), the curl on the tangential space, the
-    nodal gradient into the tangential space, and the flux-space mass."""
-
-    grad: object  # (n_phi, n_w)
-    curl_nd: object  # (n_rt, n_nd)
-    grad_nd: object  # (n_nd, n_p2)
-    rt_mass: object  # (n_rt, n_rt)
-    # transfers of the potential's V-cycle, finest first: the first into an
-    # auxiliary space (the P1 vertex space), the rest down its nested
-    # hierarchy (an empty tuple leaves one level, a direct solve); None keeps
-    # Jacobi
-    w_transfers: tuple = None
 
 
 @dataclass
@@ -286,7 +270,8 @@ def _equilibrate(K):
     return (S @ K @ S).tocsc(), s
 
 
-def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, reduction=None):
+def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, dofmaps=None,
+                 forms=None):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
@@ -306,12 +291,20 @@ def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, reduction=None):
     assembled block matrix (sparse LU with symmetric equilibration and
     iterative refinement); its fill grows prohibitively on larger 3D
     meshes, so it serves only as a small-mesh oracle.
+
+    The reduced route reads the exact operators of the complex, the flux
+    mass and, where ``_takes_multigrid``, the potential's V-cycle transfers
+    from ``dofmaps`` (one level's ``build_spaces``) through the level cache
+    ``forms``, as ``decoupled_solve`` does.
     """
     config = config or SolverConfig()
     if config.saddle_mode == "reduced":
-        if reduction is None:
-            raise SolverFailure("reduced saddle mode needs reduction operators")
-        return _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, reduction)
+        if dofmaps is None:
+            raise SolverFailure("reduced saddle mode needs the level's dofmaps")
+        forms = forms if forms is not None else {}
+        return _solve_saddle_reduced(
+            A, C, D, cell_measures, rhs_phi, config, dofmaps, forms
+        )
     return _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config)
 
 
@@ -372,7 +365,7 @@ def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config):
     return phi, lam, p, nu, info
 
 
-def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
+def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, dofmaps, forms):
     """Complex-based exact reduction with a full-system residual certificate.
 
     The multiplier block vanishes for the exact solution, the flux is
@@ -381,15 +374,17 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
     vector unknown and (b) a consistent curl-curl problem for the flux.
     """
     t0 = time.perf_counter()
-    G = red.grad
-    Knd = red.curl_nd
+    G = _level_matrix("grad", dofmaps, forms)
+    Knd = _level_matrix("curl_nd", dofmaps, forms)
+    Gnd = _level_matrix("grad_nd", dofmaps, forms)
+    Mrt = _level_matrix("rt_mass", dofmaps, forms)
+    multigrid = _takes_multigrid(dofmaps[W].mesh)  # else Jacobi
     nd_dim = Knd.shape[1]
     nphi = A.shape[0]
     nq = D.shape[0]
 
     Ared = _symmetric_part((G.T @ (A @ G)).tocsr())
-    Z = _symmetric_part((Knd.T @ (red.rt_mass @ Knd)).tocsr())
-    Gnd = red.grad_nd
+    Z = _symmetric_part((Knd.T @ (Mrt @ Knd)).tocsr())
     L = (Gnd.T @ Gnd).tocsr()  # graph Laplacian of the gradient range
 
     phi = np.zeros(nphi)
@@ -408,8 +403,8 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, red):
         if res <= config.saddle_tol:
             break
         potential, projection = {}, {}
-        if M is None and red.w_transfers is not None:
-            M = VCycle(Ared, red.w_transfers)
+        if M is None and multigrid:
+            M = VCycle(Ared, _cycle_transfers(W, dofmaps, forms))
         w = solve_spd(Ared, G.T @ r_phi, config, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
@@ -492,12 +487,13 @@ def build_spaces(mesh):
     return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
 
 
-def _level_matrix(kind, mesh, dofmaps, cache):
-    """Matrix of a bilinear form or an exact operator on one level, built
-    once per ``cache`` dict (keyed by form or operator kind)."""
+def _level_matrix(kind, dofmaps, cache):
+    """Matrix of a bilinear form or an exact operator on the level of
+    ``dofmaps`` (its ``build_spaces``), built once per ``cache`` dict (keyed
+    by form or operator kind)."""
     if kind not in cache:
         if kind in asm.FORM_KINDS:
-            cache[kind] = asm.assemble_bilinear(kind, mesh, dofmaps)
+            cache[kind] = asm.assemble_bilinear(kind, dofmaps[P2].mesh, dofmaps)
         else:
             cache[kind] = diff_operator_matrix(kind, dofmaps)
     return cache[kind].matrix
@@ -522,7 +518,7 @@ def _takes_multigrid(mesh):
     return n is not None and n >= 16
 
 
-def _cycle_transfers(space, mesh, dofmaps, cache):
+def _cycle_transfers(space, dofmaps, cache):
     """Transfers of the V-cycle on ``space`` (W or P2) on a Kuhn cube,
     finest first; built once per level ``cache``.
 
@@ -534,7 +530,8 @@ def _cycle_transfers(space, mesh, dofmaps, cache):
     """
     if "p1_prolongations" not in cache:
         cache["p1_prolongations"] = tuple(
-            p1_kuhn_prolongation(n) for n in _kuhn_levels(mesh.kuhn_n)[:-1]
+            p1_kuhn_prolongation(n)
+            for n in _kuhn_levels(dofmaps[space].mesh.kuhn_n)[:-1]
         )
     key = f"{space}_transfers"
     if key not in cache:
@@ -542,13 +539,13 @@ def _cycle_transfers(space, mesh, dofmaps, cache):
     return cache[key]
 
 
-def _p2_cycle(mesh, dofmaps, cache):
+def _p2_cycle(dofmaps, cache):
     """V-cycle of the P2 Poisson matrix, built once per level ``cache``: the
     matrix depends on neither eps nor the method, so both Poisson stages of
     every solve on the level share one cycle."""
     if "p2_cycle" not in cache:
-        S = _level_matrix("poisson_p2", mesh, dofmaps, cache)
-        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, mesh, dofmaps, cache))
+        S = _level_matrix("poisson_p2", dofmaps, cache)
+        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, dofmaps, cache))
     return cache["p2_cycle"]
 
 
@@ -566,13 +563,12 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     t_start = time.perf_counter()
     dofmaps = dofmaps or build_spaces(mesh)
     forms = forms if forms is not None else {}
-    multigrid = _takes_multigrid(mesh)
 
-    S = _level_matrix("poisson_p2", mesh, dofmaps, forms)
+    S = _level_matrix("poisson_p2", dofmaps, forms)
     b_f = asm.assemble_load("f_vs_p2", mesh, dofmaps, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
-    S_cycle = _p2_cycle(mesh, dofmaps, forms) if multigrid else None
+    S_cycle = _p2_cycle(dofmaps, forms) if _takes_multigrid(mesh) else None
     try:
         w = solve_spd(S, b_f, config, stats=poisson_w, M=S_cycle)
     except SolverFailure as exc:
@@ -581,29 +577,22 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     w_h = FeFunction(dofmaps[P2], w)
 
     interp = config.method == "interp"
-    stiff = _level_matrix("phi_stiffness", mesh, dofmaps, forms)
-    mass = _level_matrix("ind_mass" if interp else "phi_mass", mesh, dofmaps, forms)
+    stiff = _level_matrix("phi_stiffness", dofmaps, forms)
+    mass = _level_matrix("ind_mass" if interp else "phi_mass", dofmaps, forms)
     # copied so that it holds only its own entries (see _symmetric_part)
     A = ((config.eps**2) * stiff + mass).copy()
     C = _level_matrix(
-        "curl_coupling" if interp else "curl_coupling_plain", mesh, dofmaps, forms
+        "curl_coupling" if interp else "curl_coupling_plain", dofmaps, forms
     )
-    D = _level_matrix("div_coupling", mesh, dofmaps, forms)
+    D = _level_matrix("div_coupling", dofmaps, forms)
     rhs_phi = asm.assemble_load(
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
     vols = asm.q_weights(mesh)
-    reduction = ReductionOperators(
-        grad=_level_matrix("grad", mesh, dofmaps, forms),
-        curl_nd=_level_matrix("curl_nd", mesh, dofmaps, forms),
-        grad_nd=_level_matrix("grad_nd", mesh, dofmaps, forms),
-        rt_mass=_level_matrix("rt_mass", mesh, dofmaps, forms),
-        w_transfers=_cycle_transfers(W, mesh, dofmaps, forms) if multigrid else None,
-    )
     t0 = time.perf_counter()
     try:
         phi, lam, p, nu, saddle_info = solve_saddle(
-            A, C, D, vols, rhs_phi, config, reduction=reduction
+            A, C, D, vols, rhs_phi, config, dofmaps, forms
         )
     except SolverFailure as exc:
         raise SolverFailure(f"stage 2 (saddle): {exc}", exc.residuals) from exc
@@ -659,16 +648,16 @@ def solution_identity_norms(sol, dofmaps, forms=None):
     vols = asm.q_weights(mesh)
 
     lam_norm = float(np.sqrt(vols @ sol.lambda_h.coeffs**2))
-    divp = _level_matrix("div", mesh, dofmaps, forms) @ sol.p_h.coeffs
+    divp = _level_matrix("div", dofmaps, forms) @ sol.p_h.coeffs
     divp_norm = float(np.sqrt(vols @ divp**2))
 
-    curlphi = _level_matrix("curl", mesh, dofmaps, forms) @ sol.phi_h.coeffs
-    Mrt = _level_matrix("rt_mass", mesh, dofmaps, forms)
+    curlphi = _level_matrix("curl", dofmaps, forms) @ sol.phi_h.coeffs
+    Mrt = _level_matrix("rt_mass", dofmaps, forms)
     curl_norm = float(np.sqrt(curlphi @ (Mrt @ curlphi)))
 
-    grad_nd = _level_matrix("grad_nd", mesh, dofmaps, forms)
-    delta = sol.phi_h.coeffs[: dofmaps[ND].dim] - grad_nd @ sol.u_h.coeffs
-    Mnd = _level_matrix("ind_mass", mesh, dofmaps, forms)
+    grad_nd = _level_matrix("grad_nd", dofmaps, forms)
+    delta = nd_interpolant(sol.phi_h).coeffs - grad_nd @ sol.u_h.coeffs
+    Mnd = _level_matrix("ind_mass", dofmaps, forms)
     lifted = np.zeros(dofmaps[PHI].dim)
     lifted[: delta.size] = delta
     ind_grad_norm = float(np.sqrt(lifted @ (Mnd @ lifted)))

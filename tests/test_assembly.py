@@ -103,6 +103,10 @@ def test_numbering_follows_the_element_layout(name):
     # ND is the edge prefix of Phi
     assert np.array_equal(maps[ND].edge_dofs, maps[PHI].edge_dofs)
     assert np.array_equal(maps[ND].cell_table, maps[PHI].cell_table[:, :12])
+    # P2 is the vertex-edge prefix of W (grad_nd is the block grad[:nd, :p2])
+    assert np.array_equal(maps[P2].vertex_dofs, maps[W].vertex_dofs)
+    assert np.array_equal(maps[P2].edge_dofs, maps[W].edge_dofs)
+    assert np.array_equal(maps[P2].cell_table, maps[W].cell_table[:, :10])
     # P2 and W number the interior vertices first, in vertex-id order
     nvi = int(np.count_nonzero(~mesh.boundary_vertex))
     for space in (P2, W):

@@ -124,16 +124,20 @@ def test_serial_runs_are_byte_identical(tmp_path):
 
 
 def test_serial_study_csv_matches_the_recorded_table(tmp_path):
-    """The --serial study CSV is pinned byte for byte, so refactors of the
-    assembly, evaluation and solver paths cannot move any reported digit."""
-    golden = Path(__file__).parent / "data" / "study_serial_2_4.csv"
+    """The --serial study CSV and study.json are pinned byte for byte, so
+    refactors of the assembly, evaluation and solver paths cannot move any
+    reported digit, nor any inner solve's iteration count or stop reason
+    (the 80 Krylov records of study.json, which the CSV does not carry)."""
+    golden = Path(__file__).parent / "data" / "study_serial_2_4"
     out = tmp_path / "study"
     args = [
         "--test", "both", "--method", "both", "--epsilon", "1,1e-4",
         "--levels", "2,4", "--serial", "--out", str(out),
     ]
     assert main(args) == 0
-    assert (out / "study.csv").read_bytes() == golden.read_bytes()
+    for suffix in (".csv", ".json"):
+        recorded = golden.with_suffix(suffix).read_bytes()
+        assert (out / f"study{suffix}").read_bytes() == recorded, suffix
 
 
 def test_markdown_and_csv_agree(tmp_path):

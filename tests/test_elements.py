@@ -3,7 +3,7 @@ import pytest
 
 from ncderham import elements as el
 from ncderham.fields import AnalyticField
-from ncderham.mesh import build_mesh_from_tets, mesh_geometry, tet_geometry
+from ncderham.mesh import build_mesh_from_tets, mesh_geometry
 from ncderham.quadrature import TRIANGLE, get_rule
 
 ALL_KINDS = [el.LAGRANGE_P2, el.NEDELEC2, el.RT0, el.P0, el.PHI_NC, el.W_NC]
@@ -35,7 +35,7 @@ class AffineBary:
     """Barycentric coordinates of physical points on a single tet."""
 
     def __init__(self, mesh):
-        g = tet_geometry(mesh, 0)
+        g = mesh_geometry(mesh).take([0])
         self.gl = g.grad_lambda[0]
         self.verts = g.vertices[0]
 
@@ -99,7 +99,7 @@ def test_dim_counts_match_layout():
 def test_phi_enrichment_value_at_barycenter():
     mesh = single_tet_mesh(REF_VERTS)
     geom = mesh_geometry(mesh)
-    g = tet_geometry(mesh, 0)
+    g = mesh_geometry(mesh).take([0])
     vals = el.shape_values(el.PHI_NC, g, np.full((1, 4), 0.25))[0, 0]
     # grad(b_T lambda_0) at the barycenter equals grad(lambda_0)/256
     assert np.abs(vals[12] - g.grad_lambda[0, 0] / 256.0).max() < 1e-14
@@ -107,7 +107,7 @@ def test_phi_enrichment_value_at_barycenter():
 
 def test_p0_basis_and_scalar_curl_error():
     mesh = single_tet_mesh(REF_VERTS)
-    g = tet_geometry(mesh, 0)
+    g = mesh_geometry(mesh).take([0])
     assert el.shape_values(el.P0, g, np.array([[0.4, 0.3, 0.2, 0.1]]))[0, 0, 0] == 1.0
     with pytest.raises(el.CapabilityError):
         el.shape_curls(el.W_NC, g)

@@ -113,7 +113,7 @@ def test_l2_vs_ind_is_l2_of_the_nd_interpolant(mesh2, maps2):
     data = smooth_case_fields(1e-4)
     rng = np.random.default_rng(31)
     fe = FeFunction(maps2[PHI], rng.standard_normal(maps2[PHI].dim))
-    nd = nd_interpolant(fe, maps2[ND])
+    nd = nd_interpolant(fe)
     assert compute_error("l2_vs_ind", fe, data["phi"]) == compute_error(
         "l2_vector", nd, data["phi"]
     )

@@ -7,6 +7,9 @@ from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.fields import AnalyticField
 from ncderham.interpolate import (
     FeFunction,
+    _circulation_rows,
+    _edge_gradient_rows,
+    _triplets,
     canonical_interpolate,
     diff_operator_matrix,
     fe_gradients,
@@ -17,6 +20,8 @@ from ncderham.interpolate import (
 )
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
+from ncderham.solvers import build_spaces
+from test_fields import _jittered_cube
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +91,7 @@ def test_q_projection_of_constant(mesh2, maps2):
 
 def test_phi_reproduces_p1_field_on_interior_tets():
     mesh = build_unit_cube_mesh(3)
-    maps = {s: asm.build_dof_map(s, mesh) for s in (PHI, ND)}
+    maps = {PHI: asm.build_dof_map(PHI, mesh)}
     B = np.array([[0.2, -0.5, 0.1], [0.7, 0.3, -0.4], [0.0, 1.1, 0.6]])
     a = np.array([0.3, -0.2, 0.5])
     field = AnalyticField("p1", 3, lambda X: a + X @ B.T)
@@ -115,11 +120,38 @@ def test_complex_products_vanish_exactly(maps2):
     assert abs(curl_nd @ grad_nd).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["kuhn2", "kuhn3", "jittered2"])
+def test_nd_blocks_match_the_per_map_construction(name):
+    """grad_nd and curl_nd, blocks of grad and curl, equal bit for bit the
+    operators built from the ND and P2 maps' own DoF tables."""
+    mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
+    maps = build_spaces(mesh)
+    nmap, pmap, rmap = maps[ND], maps[P2], maps[RT]
+    references = {
+        "grad_nd": _triplets(
+            *_edge_gradient_rows(mesh, nmap.edge_dofs, pmap.vertex_dofs, pmap.edge_dofs),
+            (nmap.dim, pmap.dim),
+        ),
+        "curl_nd": _triplets(
+            *_circulation_rows(mesh, rmap.face_dofs, nmap.edge_dofs), (rmap.dim, nmap.dim)
+        ),
+    }
+    for kind, ref in references.items():
+        block = diff_operator_matrix(kind, maps).matrix
+        assert block.shape == ref.shape, kind
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, attr), getattr(ref, attr)), (kind, attr)
+
+
 def test_ind_is_edge_selection(maps2):
-    ind = diff_operator_matrix("ind", maps2).matrix.toarray()
-    nd_dim = maps2[ND].dim
-    assert np.array_equal(ind[:, :nd_dim], np.eye(nd_dim))
-    assert np.abs(ind[:, nd_dim:]).max() == 0.0
+    """The ND companion of a Phi function lives on the ND map: Phi's edge
+    DoFs and the 12 leading slots of its cell rows."""
+    fe = FeFunction(maps2[PHI], np.zeros(maps2[PHI].dim))
+    view, nmap = nd_interpolant(fe).dofmap, maps2[ND]
+    assert view.space == ND and view.mesh is nmap.mesh and view.dim == nmap.dim
+    assert np.array_equal(view.edge_dofs, nmap.edge_dofs)
+    assert np.array_equal(view.cell_table, nmap.cell_table)
+    assert view.vertex_dofs is view.face_dofs is view.cell_dofs is None
 
 
 def test_ind_matches_quadrature_edge_moments(mesh2, maps2):
@@ -139,20 +171,22 @@ def test_ind_matches_quadrature_edge_moments(mesh2, maps2):
         el.nodal_values(el.PHI_NC, geom, ebary.reshape(T, 6 * q, 4)),
     ).reshape(T, 6, q, 1, 3)
     moments = el._edge_moments(geom, vals, erule)[:, :, 0]
-    ind = diff_operator_matrix("ind", maps2).matrix
-    nd_coeffs = ind @ c
-    table_nd = maps2[ND].cell_table
+    nd = nd_interpolant(fe)
+    table_nd = nd.dofmap.cell_table
     keep = table_nd >= 0
     # phi edge DoFs occupy the first 12 local slots in the same order
-    assert np.abs(moments[keep] - nd_coeffs[table_nd[keep]]).max() < 1e-12
+    assert np.abs(moments[keep] - nd.coeffs[table_nd[keep]]).max() < 1e-12
 
 
 def test_curl_of_nd_interpolant_equals_curl(maps2):
+    """The curl of a Phi function is that of its ND companion: no face
+    enrichment enters it."""
     curl_phi = diff_operator_matrix("curl", maps2).matrix
     curl_nd = diff_operator_matrix("curl_nd", maps2).matrix
-    ind = diff_operator_matrix("ind", maps2).matrix
-    prod = curl_nd @ ind
-    assert abs(prod - curl_phi).max() <= 1e-12
+    assert curl_phi[:, maps2[ND].dim :].nnz == 0
+    fe = FeFunction(maps2[PHI], np.random.default_rng(4).standard_normal(maps2[PHI].dim))
+    diff = curl_nd @ nd_interpolant(fe).coeffs - curl_phi @ fe.coeffs
+    assert np.abs(diff).max() <= 1e-12
 
 
 def test_grad_matrix_matches_quadrature(mesh2, maps2):
@@ -208,7 +242,7 @@ def test_nd_interpolant_helper(maps2):
     rng = np.random.default_rng(2)
     c = rng.standard_normal(maps2[PHI].dim)
     fe = FeFunction(maps2[PHI], c)
-    nd = nd_interpolant(fe, maps2[ND])
+    nd = nd_interpolant(fe)
     assert np.array_equal(nd.coeffs, c[: maps2[ND].dim])
 
 

@@ -10,7 +10,6 @@ from ncderham.mesh import (
     build_mesh_from_tets,
     build_unit_cube_mesh,
     mesh_geometry,
-    tet_geometry,
 )
 from ncderham.mesh import _translation_classes
 from test_fields import _jittered_cube
@@ -44,10 +43,14 @@ def test_counts_n2():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_euler_identity_and_boundary_faces(n):
     mesh = build_unit_cube_mesh(n)
-    assert mesh.euler_characteristic() == 1
+    euler = mesh.num_vertices - mesh.num_edges + mesh.num_faces - mesh.num_tets
+    assert euler == 1
     assert int(mesh.boundary_face.sum()) == 12 * n**2
     assert mesh.num_tets == 6 * n**3
-    assert abs(mesh.h - np.sqrt(3.0) / n) < 1e-14
+    # the longest tet edge is a subcube diagonal
+    X = mesh.vertices[mesh.tets]
+    h = np.sqrt(((X[:, :, None] - X[:, None]) ** 2).sum(-1).max())
+    assert abs(h - np.sqrt(3.0) / n) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -90,9 +93,10 @@ def test_barycentric_gradients():
 def test_reference_tet_geometry():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
     mesh = build_mesh_from_tets(verts, [[0, 1, 2, 3]])
-    g = tet_geometry(mesh, 0)
+    g = mesh_geometry(mesh).take([0])
     assert abs(g.volume[0] - 1.0 / 6.0) < 1e-15
-    assert g.diameter[0] == pytest.approx(np.sqrt(2.0))
+    diameter = max(np.linalg.norm(a - b) for a in verts for b in verts)
+    assert diameter == pytest.approx(np.sqrt(2.0))
     assert np.all(mesh.boundary_face)
 
 

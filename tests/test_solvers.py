@@ -12,7 +12,6 @@ from ncderham.interpolate import diff_operator_matrix
 from ncderham.errors import compute_error, err_phi
 from ncderham.mesh import build_unit_cube_mesh
 from ncderham.solvers import (
-    ReductionOperators,
     SolverConfig,
     SolverFailure,
     VCycle,
@@ -41,16 +40,6 @@ def vector_form(mesh, maps, eps, mass="ind_mass"):
     """The saddle stage's vector-unknown matrix, eps^2 * stiffness + mass."""
     stiff = asm.assemble_bilinear("phi_stiffness", mesh, maps).matrix
     return (eps**2) * stiff + asm.assemble_bilinear(mass, mesh, maps).matrix
-
-
-def reduction_operators(mesh, maps):
-    """The exact operators the production (reduced) saddle route needs."""
-    return ReductionOperators(
-        grad=diff_operator_matrix("grad", maps).matrix,
-        curl_nd=diff_operator_matrix("curl_nd", maps).matrix,
-        grad_nd=diff_operator_matrix("grad_nd", maps).matrix,
-        rt_mass=asm.assemble_bilinear("rt_mass", mesh, maps).matrix,
-    )
 
 
 def test_config_validation():
@@ -129,14 +118,25 @@ def test_saddle_zero_rhs(setup2):
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     vols = asm.q_weights(mesh)
     phi, lam, p, nu, info = solve_saddle(
-        A, C, D, vols, np.zeros(maps[PHI].dim), cfg,
-        reduction=reduction_operators(mesh, maps),
+        A, C, D, vols, np.zeros(maps[PHI].dim), cfg, dofmaps=maps
     )
     assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
     assert np.abs(p).max() == 0.0
     assert nu == 0.0
+
+
+def test_reduced_saddle_needs_the_level_dofmaps(setup2):
+    """The reduced route reads its operators from the level's DoF maps; it
+    fails with a SolverFailure, not an attribute error, without them."""
+    mesh, maps = setup2
+    A = vector_form(mesh, maps, 0.5)
+    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
+    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
+    with pytest.raises(SolverFailure, match="dofmaps"):
+        solve_saddle(A, C, D, asm.q_weights(mesh), np.ones(maps[PHI].dim),
+                     SolverConfig(eps=0.5))
 
 
 def test_saddle_manufactured_curl_free(setup2):
@@ -153,9 +153,7 @@ def test_saddle_manufactured_curl_free(setup2):
     grad = diff_operator_matrix("grad", maps).matrix
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(
-        A, C, D, vols, rhs_phi, cfg, reduction=reduction_operators(mesh, maps)
-    )
+    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs_phi, cfg, dofmaps=maps)
     assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
@@ -173,9 +171,7 @@ def test_saddle_tiny_eps_robustness(setup2):
     vols = asm.q_weights(mesh)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(
-        A, C, D, vols, rhs, cfg, reduction=reduction_operators(mesh, maps)
-    )
+    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs, cfg, dofmaps=maps)
     assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
@@ -208,7 +204,8 @@ def test_decoupled_identities_nointerp(setup2):
 def test_reduced_mode_matches_direct(setup2):
     """The complex-based reduction reproduces the monolithic factorization."""
     mesh, maps = setup2
-    red = reduction_operators(mesh, maps)
+    grad = diff_operator_matrix("grad", maps).matrix
+    curl_nd = diff_operator_matrix("curl_nd", maps).matrix
     rng = np.random.default_rng(7)
     for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
         A = vector_form(mesh, maps, eps, mass)
@@ -216,15 +213,14 @@ def test_reduced_mode_matches_direct(setup2):
         D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
         vols = asm.q_weights(mesh)
         # consistent rhs: the image of a random curl-free state
-        grad = red.grad
         phistar = grad @ rng.standard_normal(maps[W].dim)
-        pstar = red.curl_nd @ rng.standard_normal(maps[ND].dim)
+        pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
         rhs = A @ phistar + C @ pstar
         cfg_d = SolverConfig(eps=eps, saddle_mode="direct")
         cfg_r = SolverConfig(eps=eps, saddle_mode="reduced")
         phi_d, lam_d, p_d, nu_d, _ = solve_saddle(A, C, D, vols, rhs, cfg_d)
         phi_r, lam_r, p_r, nu_r, info = solve_saddle(
-            A, C, D, vols, rhs, cfg_r, reduction=red
+            A, C, D, vols, rhs, cfg_r, dofmaps=maps
         )
         assert info["mode"] == "reduced"
         scale = max(1.0, np.abs(phi_d).max())
@@ -294,15 +290,15 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     """A flux solve that hits maxiter is not judged by a floor of its own:
     the refinement and the certificate decide, and the failure names it."""
     mesh, maps = setup2
-    red = reduction_operators(mesh, maps)
+    curl_nd = diff_operator_matrix("curl_nd", maps).matrix
     A = vector_form(mesh, maps, 0.6)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     # a pure flux right-hand side: the potential solves take no iterations
-    pstar = red.curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
+    pstar = curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
     cfg = SolverConfig(eps=0.6, saddle_mode="reduced", spd_maxiter=5)
     with pytest.raises(SolverFailure) as exc:
-        solve_saddle(A, C, D, asm.q_weights(mesh), C @ pstar, cfg, reduction=red)
+        solve_saddle(A, C, D, asm.q_weights(mesh), C @ pstar, cfg, dofmaps=maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
     assert exc.value.residuals
 
@@ -325,7 +321,7 @@ def potential_matrix(mesh, maps, eps):
 def w_transfers(mesh):
     """The V-cycle's transfers on ``mesh``: W from the P1 vertex space, then
     P1 down the Kuhn hierarchy."""
-    return solvers._cycle_transfers(W, mesh, build_spaces(mesh), {})
+    return solvers._cycle_transfers(W, build_spaces(mesh), {})
 
 
 def assert_symmetric_and_positive(B, rng):
@@ -353,10 +349,10 @@ def test_p2_cycle_is_symmetric_and_shares_the_p1_chain(setup4):
     set-up time goes to the first record only."""
     mesh, maps = setup4
     cache = {}
-    B = solvers._p2_cycle(mesh, maps, cache)
-    assert solvers._p2_cycle(mesh, maps, cache) is B
+    B = solvers._p2_cycle(maps, cache)
+    assert solvers._p2_cycle(maps, cache) is B
     assert [P.shape for P in B.transfers] == [(maps[P2].dim, 27), (27, 1)]
-    w_chain = solvers._cycle_transfers(W, mesh, maps, cache)[1:]
+    w_chain = solvers._cycle_transfers(W, maps, cache)[1:]
     assert all(a is b for a, b in zip(B.transfers[1:], w_chain, strict=True))
     assert_symmetric_and_positive(B, np.random.default_rng(13))
     first, second = B.record(), B.record()
@@ -470,7 +466,7 @@ def test_multigrid_selection(n, eps, expected):
     """Both V-cycles run on Kuhn cubes with n >= 16, whatever eps (the rows
     span eps/h from 1e-7 to 9); decided from the mesh alone, without
     building a level."""
-    mesh = types.SimpleNamespace(kuhn_n=n, h=3**0.5 / (n or 16))
+    mesh = types.SimpleNamespace(kuhn_n=n)
     assert solvers._takes_multigrid(mesh) == expected
 
 
