@@ -6,6 +6,7 @@ Exit codes: 0 all requested runs/checks passed, 1 numeric failure,
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -67,8 +68,9 @@ class StudyConfig:
             raise ConfigError(f"unknown test {self.test!r}")
         if self.method not in ("interp", "nointerp", "both"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if not self.levels:
-            raise ConfigError("levels must be nonempty")
+        for name in ("epsilons", "levels", "formats"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
         for n in self.levels:
             if n < 1 or (n & (n - 1)) != 0:
                 raise ConfigError(f"levels must be powers of two, got {n}")
@@ -101,14 +103,6 @@ class StudyConfig:
         return self
 
 
-def _tests(config):
-    return ("smooth", "layer") if config.test == "both" else (config.test,)
-
-
-def _methods(config):
-    return ("interp", "nointerp") if config.method == "both" else (config.method,)
-
-
 def run_study(config, log=print):
     """Build/solve/measure every (test, method, eps, n) combination.
 
@@ -119,97 +113,77 @@ def run_study(config, log=print):
     caches = {}
     rows = []
     failures = 0
-    for test in _tests(config):
-        for method in _methods(config):
-            for eps in config.epsilons:
-                if test == "smooth":
-                    data = smooth_case_fields(eps)
-                    exact_u, exact_phi, f = data["u"], data["phi"], data["f"]
-                else:
-                    data = layer_case_fields()
-                    exact_u, exact_phi, f = data["u0"], data["phi0"], data["f"]
-                # one entry per level; a failed level has no row and NaN
-                # errors, so no rate spans it
-                errs = {"phi": [], "ul2": [], "uh1": []}
-                level_rows = []
-                for n in config.levels:
-                    if n not in caches:
-                        mesh = build_unit_cube_mesh(n)
-                        caches[n] = (mesh, build_spaces(mesh), {})
-                    mesh, dofmaps, forms = caches[n]
-                    scfg = SolverConfig(
-                        eps=eps,
-                        method=method,
-                        spd_tol=config.spd_tol,
-                        saddle_tol=config.saddle_tol,
-                    )
-                    t0 = time.perf_counter()
-                    try:
-                        sol = decoupled_solve(f, mesh, scfg, dofmaps, forms)
-                    except SolverFailure as exc:
-                        failures += 1
-                        log(f"FAIL {test}/{method} eps={eps:g} n={n}: {exc}")
-                        level_rows.append(None)
-                        for values in errs.values():
-                            values.append(math.nan)
-                        continue
-                    seconds = time.perf_counter() - t0
-                    if method == "interp":
-                        e_phi = err_phi(sol.phi_h, exact_phi, eps, config.quad_degree)
-                    else:
-                        e_phi = err_phi_plain(
-                            sol.phi_h, exact_phi, eps, config.quad_degree
-                        )
-                    e_ul2 = compute_error(
-                        "l2_scalar", sol.u_h, exact_u, config.quad_degree
-                    )
-                    e_uh1 = compute_error(
-                        "h1semi_scalar", sol.u_h, exact_u, config.quad_degree
-                    )
-                    errs["phi"].append(e_phi)
-                    errs["ul2"].append(e_ul2)
-                    errs["uh1"].append(e_uh1)
-                    level_rows.append(
-                        StudyRow(
-                            test=test,
-                            method=method,
-                            epsilon=eps,
-                            n=n,
-                            h=1.0 / n,
-                            dof_phi=dofmaps[PHI].dim,
-                            dof_total=dofmaps[P2].dim
-                            + dofmaps[PHI].dim
-                            + dofmaps[RT].dim
-                            + dofmaps[Q].dim
-                            + 1,
-                            err_phi=e_phi,
-                            rate_phi=None,
-                            err_u_l2=e_ul2,
-                            rate_u_l2=None,
-                            err_u_h1=e_uh1,
-                            rate_u_h1=None,
-                            solve_seconds=None if config.serial else seconds,
-                            krylov=[
-                                {k: r[k] for k in KRYLOV_SUMMARY if k in r}
-                                for r in sol.diagnostics["krylov"]
-                            ],
-                        )
-                    )
-                    log(
-                        f"done {test}/{method} eps={eps:g} n={n}: "
-                        f"err_phi={e_phi:.4e} err_u_l2={e_ul2:.4e} err_u_h1={e_uh1:.4e}"
-                        f" ({seconds:.1f}s)"
-                    )
-                for key, attr in (
-                    ("phi", "rate_phi"),
-                    ("ul2", "rate_u_l2"),
-                    ("uh1", "rate_u_h1"),
-                ):
-                    rates = convergence_rates(errs[key])
-                    for row, rate in zip(level_rows, rates):
-                        if row is not None:
-                            setattr(row, attr, rate)
-                rows.extend(row for row in level_rows if row is not None)
+    tests = ("smooth", "layer") if config.test == "both" else (config.test,)
+    methods = ("interp", "nointerp") if config.method == "both" else (config.method,)
+    for test, method, eps in itertools.product(tests, methods, config.epsilons):
+        if test == "smooth":
+            data = smooth_case_fields(eps)
+            exact_u, exact_phi, f = data["u"], data["phi"], data["f"]
+        else:
+            data = layer_case_fields()
+            exact_u, exact_phi, f = data["u0"], data["phi0"], data["f"]
+        # one entry per level; a failed level is None, so no rate spans it
+        level_rows = []
+        for n in config.levels:
+            if n not in caches:
+                mesh = build_unit_cube_mesh(n)
+                caches[n] = (mesh, build_spaces(mesh), {})
+            mesh, dofmaps, forms = caches[n]
+            scfg = SolverConfig(
+                eps=eps,
+                method=method,
+                spd_tol=config.spd_tol,
+                saddle_tol=config.saddle_tol,
+            )
+            t0 = time.perf_counter()
+            try:
+                sol = decoupled_solve(f, mesh, scfg, dofmaps, forms)
+            except SolverFailure as exc:
+                failures += 1
+                log(f"FAIL {test}/{method} eps={eps:g} n={n}: {exc}")
+                level_rows.append(None)
+                continue
+            seconds = time.perf_counter() - t0
+            measure_phi = err_phi if method == "interp" else err_phi_plain
+            e_phi = measure_phi(sol.phi_h, exact_phi, eps, config.quad_degree)
+            e_ul2 = compute_error("l2_scalar", sol.u_h, exact_u, config.quad_degree)
+            e_uh1 = compute_error("h1semi_scalar", sol.u_h, exact_u, config.quad_degree)
+            level_rows.append(
+                StudyRow(
+                    test=test,
+                    method=method,
+                    epsilon=eps,
+                    n=n,
+                    h=1.0 / n,
+                    dof_phi=dofmaps[PHI].dim,
+                    dof_total=sum(dofmaps[s].dim for s in (P2, PHI, RT, Q)) + 1,
+                    err_phi=e_phi,
+                    rate_phi=None,
+                    err_u_l2=e_ul2,
+                    rate_u_l2=None,
+                    err_u_h1=e_uh1,
+                    rate_u_h1=None,
+                    solve_seconds=None if config.serial else seconds,
+                    krylov=[
+                        {k: r[k] for k in KRYLOV_SUMMARY if k in r}
+                        for r in sol.diagnostics["krylov"]
+                    ],
+                )
+            )
+            log(
+                f"done {test}/{method} eps={eps:g} n={n}: "
+                f"err_phi={e_phi:.4e} err_u_l2={e_ul2:.4e} err_u_h1={e_uh1:.4e}"
+                f" ({seconds:.1f}s)"
+            )
+        for norm in ("phi", "u_l2", "u_h1"):
+            errs = [
+                math.nan if row is None else getattr(row, f"err_{norm}")
+                for row in level_rows
+            ]
+            for row, rate in zip(level_rows, convergence_rates(errs)):
+                if row is not None:
+                    setattr(row, f"rate_{norm}", rate)
+        rows.extend(row for row in level_rows if row is not None)
     return ConvergenceReport(rows), failures
 
 
@@ -246,7 +220,8 @@ def run_verify(config, log=print):
             check_solution_identities(sol, dofmaps, sub)
             for c in sub.checks:
                 report.add(f"n{n}.{c.name}", c.passed, c.value, c.tolerance, c.detail)
-    report.seconds = time.perf_counter() - t0
+    if not config.serial:
+        report.seconds = time.perf_counter() - t0
     return report
 
 
@@ -281,19 +256,23 @@ def _parse_args(argv):
     ap.add_argument("--config", help="JSON file with StudyConfig fields")
     ap.add_argument("--test", choices=["smooth", "layer", "both"])
     ap.add_argument("--method", choices=["interp", "nointerp", "both"])
-    ap.add_argument("--epsilon", help="comma list, e.g. 1e-4,1e-6")
+    ap.add_argument("--epsilon", dest="epsilons", help="comma list, e.g. 1e-4,1e-6")
     ap.add_argument("--levels", help="comma list of subdivisions, e.g. 4,8,16")
     ap.add_argument("--quad-degree", type=int, dest="quad_degree")
     ap.add_argument("--serial", action="store_true", default=None,
                     help="deterministic mode: byte-stable outputs, timings blanked")
     ap.add_argument("--out", help="output directory")
-    ap.add_argument("--format", help="comma list from csv,markdown,json")
+    ap.add_argument("--format", dest="formats", help="comma list from csv,markdown,json")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--verify", action="store_true", default=None,
                     help="run the certification suite instead of a study")
     ap.add_argument("--infsup", action="store_true", default=None,
                     help="enable the dense inf-sup tier in --verify")
     return ap.parse_args(argv)
+
+
+# comma-list flags and the parser of their items
+_COMMA_LISTS = {"epsilons": float, "levels": int, "formats": str}
 
 
 def _load_config(args):
@@ -304,28 +283,13 @@ def _load_config(args):
                 kwargs.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    if args.test:
-        kwargs["test"] = args.test
-    if args.method:
-        kwargs["method"] = args.method
-    if args.epsilon:
-        kwargs["epsilons"] = tuple(float(x) for x in args.epsilon.split(","))
-    if args.levels:
-        kwargs["levels"] = tuple(int(x) for x in args.levels.split(","))
-    if args.quad_degree is not None:
-        kwargs["quad_degree"] = args.quad_degree
-    if args.serial is not None:
-        kwargs["serial"] = args.serial
-    if args.out:
-        kwargs["out"] = args.out
-    if args.format:
-        kwargs["formats"] = tuple(args.format.split(","))
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.verify is not None:
-        kwargs["verify"] = args.verify
-    if args.infsup is not None:
-        kwargs["infsup"] = args.infsup
+    # each flag's dest is its StudyConfig field; an empty string is unset
+    for name, value in vars(args).items():
+        if name == "config" or value in (None, ""):
+            continue
+        if name in _COMMA_LISTS:
+            value = tuple(map(_COMMA_LISTS[name], value.split(",")))
+        kwargs[name] = value
     return StudyConfig(**kwargs).validate()
 
 

@@ -43,16 +43,14 @@ def _edge_data(mesh):
     return ids, lengths
 
 
-def canonical_interpolate(
-    dofmap, field, edge_degree=11, tri_degree=8, tet_degree=8, zero_mean=True
-):
+def canonical_interpolate(dofmap, field, edge_degree=11, tri_degree=8, tet_degree=8):
     """Interpolate an analytic field by evaluating the canonical DoFs.
 
     The element DoFs are applied on every tet and scattered through the
     cell table; local DoFs follow the global orientation conventions, so a
     DoF shared by several tets receives the same value from each.  For the
     piecewise-constant space the result is the elementwise mean, shifted to
-    zero global mean unless ``zero_mean`` is False.
+    zero global mean.
     """
     geom = mesh_geometry(dofmap.mesh)
     local = el.apply_dofs(
@@ -62,7 +60,7 @@ def canonical_interpolate(
     keep = table >= 0
     coeffs = np.zeros(dofmap.dim)
     coeffs[table[keep]] = local[keep]
-    if dofmap.space == Q and zero_mean:
+    if dofmap.space == Q:
         coeffs -= (coeffs @ geom.volume) / geom.volume.sum()
     return FeFunction(dofmap, coeffs)
 

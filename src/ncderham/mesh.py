@@ -136,15 +136,18 @@ def build_mesh_from_tets(vertices, tets):
         raise MeshIntegrityError("tets must be an (nT, 4) integer array")
     nT = tets.shape[0]
 
-    edge_pairs = np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
-    first, edge_inv = _unique_rows(edge_pairs)
-    edges = edge_pairs[first]
-    tet_to_edges = edge_inv.reshape(nT, 6)
-
-    face_triples = np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-    first, face_inv = _unique_rows(face_triples)
-    faces = face_triples[first]
-    tet_to_faces = face_inv.reshape(nT, 4)
+    # per entity type: the rows in ascending global ids, their unique table,
+    # the incidence, and the local vertices in that same ascending order
+    tables = []
+    for local in (LOCAL_EDGES, LOCAL_FACES):
+        gids = tets[:, local]  # (nT, entities, vertices)
+        perm = np.argsort(gids, axis=2)
+        rows = np.take_along_axis(gids, perm, axis=2).reshape(-1, local.shape[1])
+        first, inverse = _unique_rows(rows)
+        ordered = np.take_along_axis(np.broadcast_to(local, gids.shape), perm, axis=2)
+        tables.append((rows[first], inverse.reshape(nT, len(local)), ordered))
+    edges, tet_to_edges, tet_edge_vertices = tables[0]
+    faces, tet_to_faces, tet_face_vertices = tables[1]
 
     # each face's incident tets in ascending order fill its two slots
     order = np.argsort(tet_to_faces.reshape(-1), kind="stable")
@@ -155,18 +158,6 @@ def build_mesh_from_tets(vertices, tets):
         raise MeshIntegrityError(f"face {f} incident to more than 2 tets")
     face_to_tets = np.full((faces.shape[0], 2), -1, dtype=np.int64)
     face_to_tets[flat_faces, slot] = order // 4
-
-    # ascending-global-id local orderings
-    gids = tets[:, LOCAL_EDGES]  # (nT, 6, 2)
-    swap = gids[:, :, 0] > gids[:, :, 1]
-    tet_edge_vertices = np.broadcast_to(LOCAL_EDGES, (nT, 6, 2)).copy()
-    tet_edge_vertices[swap] = tet_edge_vertices[swap][:, ::-1]
-
-    gidf = tets[:, LOCAL_FACES]  # (nT, 4, 3)
-    perm = np.argsort(gidf, axis=2)
-    tet_face_vertices = np.take_along_axis(
-        np.broadcast_to(LOCAL_FACES, (nT, 4, 3)), perm, axis=2
-    )
 
     mesh = SimplicialMesh(
         vertices=vertices,

@@ -18,6 +18,7 @@ EDGE = "edge"
 TRIANGLE = "triangle"
 TET = "tet"
 
+DIMENSION = {EDGE: 1, TRIANGLE: 2, TET: 3}
 MAX_DEGREE = {TRIANGLE: 10, TET: 12}
 
 
@@ -48,37 +49,21 @@ def _gauss_jacobi_01(m, alpha):
     return u, w
 
 
-def _edge_rule(degree):
+def _simplex_rule(d, degree):
+    """Conical product on the d-simplex.
+
+    lambda_k = u_k * (1 - lambda_1 - ... - lambda_{k-1}) for k = 1..d, with
+    u_k the Gauss-Jacobi nodes of weight (1-u)**(d-k), and lambda_0 the
+    remainder; the first node varies slowest.
+    """
     m = max(1, (degree + 2) // 2)
-    u, w = _gauss_jacobi_01(m, 0)
-    pts = np.column_stack([1.0 - u, u])
-    return pts, w / w.sum(), 2 * m - 1
-
-
-def _triangle_rule(degree):
-    m = max(1, (degree + 2) // 2)
-    u1, w1 = _gauss_jacobi_01(m, 1)
-    u2, w2 = _gauss_jacobi_01(m, 0)
-    # lam1 = u1, lam2 = u2*(1-u1), lam0 the remainder
-    l1 = np.repeat(u1, m)
-    l2 = np.tile(u2, m) * (1.0 - l1)
-    l0 = 1.0 - l1 - l2
-    w = np.repeat(w1, m) * np.tile(w2, m)
-    pts = np.column_stack([l0, l1, l2])
-    return pts, w / w.sum(), 2 * m - 1
-
-
-def _tet_rule(degree):
-    m = max(1, (degree + 2) // 2)
-    u1, w1 = _gauss_jacobi_01(m, 2)
-    u2, w2 = _gauss_jacobi_01(m, 1)
-    u3, w3 = _gauss_jacobi_01(m, 0)
-    l1 = np.repeat(u1, m * m)
-    l2 = np.tile(np.repeat(u2, m), m) * (1.0 - l1)
-    l3 = np.tile(u3, m * m) * (1.0 - l1 - l2)
-    l0 = 1.0 - l1 - l2 - l3
-    w = np.repeat(w1, m * m) * np.tile(np.repeat(w2, m), m) * np.tile(w3, m * m)
-    pts = np.column_stack([l0, l1, l2, l3])
+    rest, w, lams = 1.0, 1.0, []
+    for k, i in enumerate(np.indices((m,) * d).reshape(d, -1), start=1):
+        u, wk = _gauss_jacobi_01(m, d - k)
+        lams.append(u[i] * rest)
+        rest = rest - lams[-1]
+        w = w * wk[i]
+    pts = np.column_stack([rest] + lams)
     return pts, w / w.sum(), 2 * m - 1
 
 
@@ -87,22 +72,13 @@ def get_rule(kind, degree):
     """Return a QuadratureRule of exactness >= ``degree`` on the entity kind."""
     if degree < 0:
         raise QuadratureCapabilityError(f"degree must be nonnegative, got {degree}")
-    if kind == EDGE:
-        pts, w, deg = _edge_rule(degree)
-    elif kind == TRIANGLE:
-        if degree > MAX_DEGREE[TRIANGLE]:
-            raise QuadratureCapabilityError(
-                f"triangle rules support degree <= {MAX_DEGREE[TRIANGLE]}, got {degree}"
-            )
-        pts, w, deg = _triangle_rule(degree)
-    elif kind == TET:
-        if degree > MAX_DEGREE[TET]:
-            raise QuadratureCapabilityError(
-                f"tet rules support degree <= {MAX_DEGREE[TET]}, got {degree}"
-            )
-        pts, w, deg = _tet_rule(degree)
-    else:
+    if kind not in DIMENSION:
         raise QuadratureCapabilityError(f"unknown entity kind {kind!r}")
+    if kind in MAX_DEGREE and degree > MAX_DEGREE[kind]:
+        raise QuadratureCapabilityError(
+            f"{kind} rules support degree <= {MAX_DEGREE[kind]}, got {degree}"
+        )
+    pts, w, deg = _simplex_rule(DIMENSION[kind], degree)
     pts.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(kind, pts, w, deg)

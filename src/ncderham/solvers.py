@@ -662,14 +662,8 @@ def solution_identity_norms(sol, dofmaps, forms=None):
     lifted[: delta.size] = delta
     ind_grad_norm = float(np.sqrt(lifted @ (Mnd @ lifted)))
 
-    scale = float(
-        max(
-            np.linalg.norm(sol.phi_h.coeffs) if sol.phi_h.coeffs.size else 0.0,
-            np.linalg.norm(sol.w_h.coeffs) if sol.w_h.coeffs.size else 0.0,
-            np.linalg.norm(sol.u_h.coeffs) if sol.u_h.coeffs.size else 0.0,
-            1e-30,
-        )
-    )
+    coeff_norms = [np.linalg.norm(fe.coeffs) for fe in (sol.phi_h, sol.w_h, sol.u_h)]
+    scale = float(max(*coeff_norms, 1e-30))
     return {
         "lambda_l2": lam_norm,
         "div_p_l2": divp_norm,

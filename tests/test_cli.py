@@ -5,7 +5,15 @@ from pathlib import Path
 import pytest
 
 from ncderham import solvers
-from ncderham.cli import ConfigError, StudyConfig, main, run_study, run_verify
+from ncderham.cli import (
+    ConfigError,
+    StudyConfig,
+    _load_config,
+    _parse_args,
+    main,
+    run_study,
+    run_verify,
+)
 from ncderham.solvers import SolverConfig, SolverFailure
 
 
@@ -42,10 +50,31 @@ def test_cli_config_error_exit_code(tmp_path):
         {"spd_solver": "LU"}, {"load_degree": 13}, {"quad_degree": "8"},
         {"epsilons": 1e-4}, {"spd_tol": 0}, {"saddle_tol": 2},
         {"verify": True, "verify_levels": [0]}, {"verify": True, "seed": "x"},
+        {"epsilons": []}, {"formats": []},
     ):
         cfg = tmp_path / "invalid.json"
         cfg.write_text(json.dumps(fields))
         assert main(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv,field,value", [
+    (["--test", "layer"], "test", "layer"),
+    (["--method", "nointerp"], "method", "nointerp"),
+    (["--epsilon", "1e-3,1e-5"], "epsilons", (1e-3, 1e-5)),
+    (["--levels", "2,4,8"], "levels", (2, 4, 8)),
+    (["--quad-degree", "0"], "quad_degree", 0),
+    (["--serial"], "serial", True),
+    (["--out", "results"], "out", "results"),
+    (["--out", ""], "out", None),  # an empty --out keeps stdout
+    (["--format", "json,csv"], "formats", ("json", "csv")),
+    (["--seed", "0"], "seed", 0),
+    (["--verify"], "verify", True),
+    (["--infsup"], "infsup", True),
+])
+def test_each_flag_sets_its_config_field(argv, field, value):
+    """A flag sets its own StudyConfig field and leaves every other field
+    at its default."""
+    assert _load_config(_parse_args(argv)) == StudyConfig(**{field: value})
 
 
 def test_levels_that_skip_a_halving_are_rejected():
@@ -157,13 +186,30 @@ def test_run_verify_passes_and_writes(tmp_path):
     cfg = StudyConfig(verify=True, verify_levels=(1,), serial=True)
     report = run_verify(cfg, log=lambda *a: None)
     assert report.passed, report.to_text()
-    names = [c.name for c in report.checks]
-    assert any("complex." in n for n in names)
-    assert any("commuting." in n for n in names)
-    assert any(n.startswith("unisolvence.") for n in names)
-    assert any("infsup.skipped" in n for n in names)
-    # level-tagged entries
-    assert any(n.startswith("n1.") for n in names)
+    identities = [
+        f"identities.{method}_eps{eps}.{check}"
+        for method, checks in (
+            ("interp", ("lambda_zero", "div_p_zero", "curl_phi_zero",
+                        "ind_phi_equals_grad_u", "phi_in_grad_w")),
+            ("nointerp", ("lambda_zero", "div_p_zero", "curl_phi_zero")),
+        )
+        for eps in ("1", "1e-06")
+        for check in checks
+    ]
+    level_checks = [
+        "complex.curl_grad_zero", "complex.div_curl_zero", "complex.grad_injective",
+        "complex.rank_curl_euler", "complex.div_onto_zero_mean",
+        "complex.exactness_at_rt", "commuting.grad_route_p3",
+        "commuting.curl_route_p3", "commuting.edge_restriction_is_canonical",
+        "commuting.grad_route_global", "commuting.curl_route_global",
+        "commuting.edge_restriction_global", "weak_continuity.face_jump_means",
+        "infsup.skipped",
+    ] + identities
+    assert [c.name for c in report.checks] == (
+        ["unisolvence.phi_nc", "unisolvence.w_nc"]
+        + [f"n1.{name}" for name in level_checks]
+    )
+    assert report.seconds is None  # suppressed under serial
 
 
 def test_cli_verify_exit_code(tmp_path):
@@ -173,6 +219,20 @@ def test_cli_verify_exit_code(tmp_path):
     assert (out / "verify.txt").exists()
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is True
+
+
+def test_serial_verify_runs_are_byte_identical(tmp_path):
+    cfg = tmp_path / "levels.json"
+    cfg.write_text(json.dumps({"verify_levels": [1]}))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--verify", "--serial", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    for name in ("verify.txt", "verify.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert json.loads((outs[0] / "verify.json").read_text())["seconds"] is None
+    assert (outs[0] / "verify.txt").read_text().endswith(
+        "ALL CHECKS PASSED (32 checks)\n")
 
 
 def test_study_without_out_writes_first_requested_format(capsys):

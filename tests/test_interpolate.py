@@ -82,11 +82,18 @@ def test_rt_interpolation_of_constant(mesh2, maps2):
 
 
 def test_q_projection_of_constant(mesh2, maps2):
+    """Q is the zero-mean space: a constant interpolates to zero, and a
+    linear field to each cell's mean (its centroid value) minus the
+    volume-weighted global mean."""
     field = AnalyticField("c", 1, lambda X: np.full(X.shape[0], 2.5))
-    fe = canonical_interpolate(maps2[Q], field, zero_mean=False)
-    assert np.abs(fe.coeffs - 2.5).max() < 1e-13
-    fe0 = canonical_interpolate(maps2[Q], field, zero_mean=True)
-    assert np.abs(fe0.coeffs).max() < 1e-13
+    assert np.abs(canonical_interpolate(maps2[Q], field).coeffs).max() < 1e-13
+    a = np.array([0.7, -1.3, 0.4])
+    linear = AnalyticField("lin", 1, lambda X: 0.2 + X @ a)
+    fe = canonical_interpolate(maps2[Q], linear)
+    means = 0.2 + mesh2.vertices[mesh2.tets].mean(axis=1) @ a
+    vol = mesh_geometry(mesh2).volume
+    expected = means - (vol @ means) / vol.sum()
+    assert np.abs(fe.coeffs[maps2[Q].cell_table[:, 0]] - expected).max() < 1e-13
 
 
 def test_phi_reproduces_p1_field_on_interior_tets():

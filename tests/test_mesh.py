@@ -116,28 +116,51 @@ def test_nonmanifold_face_raises():
         build_mesh_from_tets(verts, tets)
 
 
+def _relabelled_cube(n, seed):
+    """The Kuhn cube with its vertex ids randomly permuted: ascending-id
+    orderings then differ from tet to tet, unlike the lattice numbering."""
+    mesh = build_unit_cube_mesh(n)
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return build_mesh_from_tets(vertices, perm[mesh.tets])
+
+
 def test_entity_tables_match_a_row_unique_reference():
-    """Edges, faces and their incidence equal the tables built with
-    ``np.unique(axis=0)`` and a per-face loop, array for array."""
-    mesh = build_unit_cube_mesh(3)
-    tets, nT = mesh.tets, mesh.num_tets
-    edges, einv = np.unique(
-        np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2), axis=0, return_inverse=True
-    )
-    faces, finv = np.unique(
-        np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3), axis=0, return_inverse=True
-    )
-    face_to_tets = np.full((faces.shape[0], 2), -1)
-    count = np.zeros(faces.shape[0], dtype=int)
-    for f, t in zip(finv.reshape(-1), np.repeat(np.arange(nT), 4)):
-        face_to_tets[f, count[f]] = t
-        count[f] += 1
-    for name, ref in (
-        ("edges", edges), ("faces", faces), ("tet_to_edges", einv.reshape(nT, 6)),
-        ("tet_to_faces", finv.reshape(nT, 4)), ("face_to_tets", face_to_tets),
-    ):
-        found = getattr(mesh, name)
-        assert found.dtype == np.int64 and np.array_equal(found, ref), name
+    """Edges, faces, their incidence and the ascending local orderings equal
+    the tables built with ``np.unique(axis=0)``, a per-face loop and a
+    per-entity sort of ``tets[t, local]``, array for array, on the lattice
+    numbering and on randomly relabelled vertex ids."""
+    for mesh in (build_unit_cube_mesh(3), _relabelled_cube(3, seed=11)):
+        tets, nT = mesh.tets, mesh.num_tets
+        edges, einv = np.unique(
+            np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2), axis=0,
+            return_inverse=True,
+        )
+        faces, finv = np.unique(
+            np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3), axis=0,
+            return_inverse=True,
+        )
+        face_to_tets = np.full((faces.shape[0], 2), -1)
+        count = np.zeros(faces.shape[0], dtype=int)
+        for f, t in zip(finv.reshape(-1), np.repeat(np.arange(nT), 4)):
+            face_to_tets[f, count[f]] = t
+            count[f] += 1
+        edge_vertices, face_vertices = (
+            np.array([[sorted(loc, key=lambda i: tets[t, i]) for loc in local]
+                      for t in range(nT)])
+            for local in (LOCAL_EDGES, LOCAL_FACES)
+        )
+        for name, ref in (
+            ("edges", edges), ("faces", faces), ("tet_to_edges", einv.reshape(nT, 6)),
+            ("tet_to_faces", finv.reshape(nT, 4)), ("face_to_tets", face_to_tets),
+            ("tet_edge_vertices", edge_vertices), ("tet_face_vertices", face_vertices),
+        ):
+            found = getattr(mesh, name)
+            assert found.dtype == np.int64 and np.array_equal(found, ref), name
+    # the relabelled ids do reorder some local entities
+    assert not np.array_equal(mesh.tet_edge_vertices,
+                              np.broadcast_to(LOCAL_EDGES, (nT, 6, 2)))
 
 
 @pytest.mark.parametrize("name", ["kuhn2", "kuhn3", "kuhn12", "jittered2"])

@@ -8,6 +8,7 @@ from ncderham.quadrature import (
     TET,
     TRIANGLE,
     QuadratureCapabilityError,
+    _gauss_jacobi_01,
     barycentric_monomial_mean,
     get_rule,
 )
@@ -65,3 +66,49 @@ def test_rules_are_deterministic_and_capability_errors():
         get_rule(TET, 13)
     with pytest.raises(QuadratureCapabilityError, match="10"):
         get_rule(TRIANGLE, 11)
+
+
+def _reference_rule(kind, degree):
+    """Per-dimension conical products written out with repeat and tile."""
+    m = max(1, (degree + 2) // 2)
+    if kind == EDGE:
+        u, w = _gauss_jacobi_01(m, 0)
+        return np.column_stack([1.0 - u, u]), w / w.sum(), 2 * m - 1
+    if kind == TRIANGLE:
+        u1, w1 = _gauss_jacobi_01(m, 1)
+        u2, w2 = _gauss_jacobi_01(m, 0)
+        l1 = np.repeat(u1, m)
+        l2 = np.tile(u2, m) * (1.0 - l1)
+        w = np.repeat(w1, m) * np.tile(w2, m)
+        return np.column_stack([1.0 - l1 - l2, l1, l2]), w / w.sum(), 2 * m - 1
+    u1, w1 = _gauss_jacobi_01(m, 2)
+    u2, w2 = _gauss_jacobi_01(m, 1)
+    u3, w3 = _gauss_jacobi_01(m, 0)
+    l1 = np.repeat(u1, m * m)
+    l2 = np.tile(np.repeat(u2, m), m) * (1.0 - l1)
+    l3 = np.tile(u3, m * m) * (1.0 - l1 - l2)
+    w = np.repeat(w1, m * m) * np.tile(np.repeat(w2, m), m) * np.tile(w3, m * m)
+    pts = np.column_stack([1.0 - l1 - l2 - l3, l1, l2, l3])
+    return pts, w / w.sum(), 2 * m - 1
+
+
+@pytest.mark.parametrize("kind,maxdeg", [(EDGE, 24), (TRIANGLE, 10), (TET, 12)])
+def test_rules_equal_the_per_dimension_reference_bit_for_bit(kind, maxdeg):
+    for degree in range(maxdeg + 1):
+        rule = get_rule(kind, degree)
+        pts, w, deg = _reference_rule(kind, degree)
+        assert np.array_equal(rule.points, pts), (kind, degree)
+        assert np.array_equal(rule.weights, w), (kind, degree)
+        assert rule.degree == deg and rule.kind == kind
+
+
+def test_capability_messages():
+    for kind, degree, message in (
+        (TRIANGLE, 11, "triangle rules support degree <= 10, got 11"),
+        (TET, 13, "tet rules support degree <= 12, got 13"),
+        (EDGE, -1, "degree must be nonnegative, got -1"),
+        ("prism", 2, "unknown entity kind 'prism'"),
+    ):
+        with pytest.raises(QuadratureCapabilityError) as info:
+            get_rule(kind, degree)
+        assert str(info.value) == message
