@@ -154,16 +154,18 @@ def _pairs_contract(weights, vol, A, B):
     return np.matmul(Af, Bf.transpose(0, 2, 1)) * vol[:, None, None]
 
 
-# kind -> (row space, column space, quadrature degree, symmetric)
+# kind -> (row space, column space, quadrature degree, symmetric, pair):
+# ``pair`` is (element, gradients) for a form that pairs one element's nodal
+# values, or gradients, with themselves, and None for the couplings
 _FORMS = {
-    "poisson_p2": (P2, P2, 2, True),
-    "phi_stiffness": (PHI, PHI, 8, True),
-    "phi_mass": (PHI, PHI, 8, True),
-    "ind_mass": (PHI, PHI, 2, True),
-    "curl_coupling": (PHI, RT, 2, False),
-    "curl_coupling_plain": (PHI, RT, 2, False),
-    "div_coupling": (Q, RT, 2, False),
-    "rt_mass": (RT, RT, 2, True),
+    "poisson_p2": (P2, P2, 2, True, (el.LAGRANGE_P2, True)),
+    "phi_stiffness": (PHI, PHI, 8, True, (el.PHI_NC, True)),
+    "phi_mass": (PHI, PHI, 8, True, (el.PHI_NC, False)),
+    "ind_mass": (PHI, PHI, 2, True, (el.NEDELEC2, False)),
+    "curl_coupling": (PHI, RT, 2, False, None),
+    "curl_coupling_plain": (PHI, RT, 2, False, None),
+    "div_coupling": (Q, RT, 2, False, None),
+    "rt_mass": (RT, RT, 2, True, (el.RT0, False)),
 }
 
 FORM_KINDS = tuple(_FORMS)
@@ -179,7 +181,7 @@ def assemble_bilinear(kind, mesh, dofmaps):
     """
     if kind not in _FORMS:
         raise AssemblyError(f"unknown form kind {kind!r}")
-    rs, cs, degree, symmetric = _FORMS[kind]
+    rs, cs, degree, symmetric, _ = _FORMS[kind]
     for s in (rs, cs):
         if s not in dofmaps:
             raise AssemblyError(f"missing DofMap for space {s!r}")
@@ -208,32 +210,20 @@ def assemble_bilinear(kind, mesh, dofmaps):
 def _local_form(kind, g, degree):
     rule = get_rule(TET, degree)
     w, pts = rule.weights, rule.points
-    if kind == "poisson_p2":
-        grads = el.nodal_gradients(el.LAGRANGE_P2, g, pts)
-        return _pairs_contract(w, g.volume, grads, grads)
-    if kind == "phi_stiffness":
-        J = el.nodal_gradients(el.PHI_NC, g, pts)
-        nT, nq = J.shape[:2]
-        J = J.reshape(nT, nq, 16, 9)
-        return _pairs_contract(w, g.volume, J, J)
-    if kind == "phi_mass":
-        v = el.nodal_values(el.PHI_NC, g, pts)
+    pair = _FORMS[kind][4]
+    if pair is not None:
+        element, gradients = pair
+        evaluate = el.nodal_gradients if gradients else el.nodal_values
+        v = evaluate(element, g, pts)
         return _pairs_contract(w, g.volume, v, v)
-    if kind == "ind_mass":
-        vnd = el.nodal_values(el.NEDELEC2, g, pts)
-        return _pairs_contract(w, g.volume, vnd, vnd)
     if kind in ("curl_coupling", "curl_coupling_plain"):
         vrt = el.nodal_values(el.RT0, g, pts)
         rt_int = np.einsum("q,tqja->tja", w, vrt) * g.volume[:, None, None]
         element = el.NEDELEC2 if kind == "curl_coupling" else el.PHI_NC
         return np.einsum("tia,tja->tij", el.nodal_curls(element, g), rt_int)
-    if kind == "div_coupling":
-        div = el.rt_nodal_divergences(g)
-        return (div * g.volume[:, None])[:, None, :]
-    if kind == "rt_mass":
-        v = el.nodal_values(el.RT0, g, pts)
-        return _pairs_contract(w, g.volume, v, v)
-    raise AssemblyError(f"unknown form kind {kind!r}")
+    # div_coupling
+    div = el.rt_nodal_divergences(g)
+    return (div * g.volume[:, None])[:, None, :]
 
 
 # kind -> (target space, space of the discrete data or None for an analytic

@@ -100,6 +100,8 @@ class StudyConfig:
             raise ConfigError(f"verify_levels must be positive integers, got {levels!r}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.out == "":  # as with no --out: the report goes to stdout
+            self.out = None
         return self
 
 
@@ -187,7 +189,7 @@ def run_study(config, log=print):
     return ConvergenceReport(rows), failures
 
 
-def run_verify(config, log=print):
+def run_verify(config):
     """Run the structural certification suite; returns CertificationReport."""
     config.validate()
     t0 = time.perf_counter()

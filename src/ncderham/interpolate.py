@@ -43,7 +43,11 @@ def _edge_data(mesh):
     return ids, lengths
 
 
-def canonical_interpolate(dofmap, field, edge_degree=11, tri_degree=8, tet_degree=8):
+# degrees of the edge, triangle and tet rules of canonical interpolation's DoFs
+DOF_DEGREES = (11, 8, 8)
+
+
+def canonical_interpolate(dofmap, field):
     """Interpolate an analytic field by evaluating the canonical DoFs.
 
     The element DoFs are applied on every tet and scattered through the
@@ -53,9 +57,7 @@ def canonical_interpolate(dofmap, field, edge_degree=11, tri_degree=8, tet_degre
     zero global mean.
     """
     geom = mesh_geometry(dofmap.mesh)
-    local = el.apply_dofs(
-        dofmap.element, geom, field, edge_degree, tri_degree, tet_degree
-    )
+    local = el.apply_dofs(dofmap.element, geom, field, *DOF_DEGREES)
     table = dofmap.cell_table
     keep = table >= 0
     coeffs = np.zeros(dofmap.dim)

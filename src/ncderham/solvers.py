@@ -7,8 +7,9 @@ reduction through the discrete complex — one SPD solve for the scalar
 potential of the curl-free vector unknown and one consistent curl-curl
 solve for the flux — whose result is certified against the residual of
 the full block system.  A monolithic sparse LU (symmetric diagonal
-equilibration and iterative refinement) remains as a small-mesh oracle.
-Both stay robust as the perturbation parameter approaches zero.
+equilibration and iterative refinement), ``solve_saddle_lu``, remains as
+the tests' small-mesh oracle.  Both stay robust as the perturbation
+parameter approaches zero.
 """
 
 import math
@@ -41,15 +42,12 @@ class SolverConfig:
     spd_tol: float = 1e-12
     spd_maxiter: int = 60000
     saddle_tol: float = 1e-10
-    saddle_mode: str = "reduced"  # "reduced", or "direct" for the LU oracle
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.saddle_mode not in ("reduced", "direct"):
-            raise ValueError(f"unknown saddle mode {self.saddle_mode!r}")
         for tol in (self.spd_tol, self.saddle_tol):
             if not 0 < tol < 1:
                 raise ValueError(f"tolerances must lie in (0, 1), got {tol}")
@@ -67,17 +65,27 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pcg(matrix, rhs, config, M, atol):
+def _pcg(matrix, rhs, config, atol, M=None):
     """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
 
-    Returns the iterate and the solve's record: ``iterations``, the true
-    residual ``||rhs - matrix x||``, the stopping ``target`` and the stop
-    ``reason``: ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted`` when
-    CG's recursive residual met the target but the true residual did not.
+    ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned,
+    and a zero diagonal entry of a semidefinite matrix (the flux curl-curl)
+    is scaled by one.  Returns the iterate and the solve's record: the
+    ``preconditioner`` (with a V-cycle's ``VCycle.record``), ``iterations``,
+    the true residual ``||rhs - matrix x||``, the stopping ``target`` and the
+    stop ``reason``: ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted``
+    when CG's recursive residual met the target but the true residual did
+    not.
     """
+    if M is None:
+        diag = matrix.diagonal()
+        M = sp.diags(np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0))
+        info = {"preconditioner": "jacobi"}
+    else:
+        info = M.record()
     target = float(max(atol, config.spd_tol * np.linalg.norm(rhs)))
     if not np.any(rhs):
-        record = {"iterations": 0, "residual": 0.0, "target": target,
+        record = {**info, "iterations": 0, "residual": 0.0, "target": target,
                   "reason": "zero_rhs"}
         return np.zeros_like(rhs), record
     count = [0]
@@ -85,19 +93,19 @@ def _pcg(matrix, rhs, config, M, atol):
     def cb(xk):
         count[0] += 1
 
-    x, info = spla.cg(
+    x, status = spla.cg(
         matrix, rhs, rtol=config.spd_tol, atol=atol,
         maxiter=config.spd_maxiter, M=M, callback=cb,
     )
     residual = float(np.linalg.norm(rhs - matrix @ x))
-    if info != 0:
+    if status != 0:
         reason = "maxiter"
     elif residual > target:
         reason = "drifted"
     else:
         reason = "converged"
-    record = {"iterations": count[0], "residual": residual, "target": target,
-              "reason": reason}
+    record = {**info, "iterations": count[0], "residual": residual,
+              "target": target, "reason": reason}
     return x, record
 
 
@@ -107,24 +115,18 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
     CG stops once the residual norm falls below ``max(atol, spd_tol *
     ||rhs||)``.  ``M`` is a ``VCycle`` preconditioner; without one the solve
     is Jacobi-preconditioned.  ``stats``, when given a dict, receives the
-    solve's record (see ``_pcg``) and its ``preconditioner``, plus a
-    multigrid preconditioner's ``levels``, ``coarse_dims`` (the dimension
-    of every level, finest first) and ``setup_s`` (see ``VCycle.record``).
-    A solve stopped at ``spd_maxiter`` raises; a drifted one does not.
+    solve's record (see ``_pcg``), with a multigrid preconditioner's
+    ``levels``, ``coarse_dims`` (the dimension of every level, finest first)
+    and ``setup_s``.  A solve stopped at ``spd_maxiter`` raises; a drifted
+    one does not.
     """
     config = config or SolverConfig()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
-    if M is None:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0):
-            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-        M, info = sp.diags(1.0 / diag), {"preconditioner": "jacobi"}
-    else:
-        info = M.record()
-    x, record = _pcg(matrix, rhs, config, M, atol)
-    record = {**info, **record}
+    if M is None and np.any(matrix.diagonal() <= 0):
+        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+    x, record = _pcg(matrix, rhs, config, atol, M)
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
@@ -270,8 +272,7 @@ def _equilibrate(K):
     return (S @ K @ S).tocsc(), s
 
 
-def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, dofmaps=None,
-                 forms=None):
+def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
@@ -282,98 +283,22 @@ def solve_saddle(A, C, D, cell_measures, rhs_phi, config=None, dofmaps=None,
     where e holds the cell measures (zero-mean constraint on lam).
     Returns (phi, lam, p, nu, info).
 
-    ``reduced``, the production route, exploits the exactness of the
-    discrete complex (the kernel of the coupling is the gradient range): it
-    solves one SPD system for the curl-free part and one consistent
-    semidefinite system for the flux, then certifies the candidate by
-    measuring the residual of the full block system, so correctness never
-    rests on the reduction argument alone.  ``direct`` factors the
-    assembled block matrix (sparse LU with symmetric equilibration and
-    iterative refinement); its fill grows prohibitively on larger 3D
-    meshes, so it serves only as a small-mesh oracle.
+    The solve is an exact reduction through the discrete complex (the
+    kernel of the coupling is the gradient range).  The multiplier block
+    vanishes for the exact solution, the flux is solenoidal and the vector
+    unknown is a discrete gradient, so the system splits into one SPD
+    problem for the scalar potential of the vector unknown and one
+    consistent curl-curl problem for the flux.  The candidate is certified
+    by the residual of the full block system, so correctness never rests on
+    the reduction argument alone.
 
-    The reduced route reads the exact operators of the complex, the flux
-    mass and, where ``_takes_multigrid``, the potential's V-cycle transfers
-    from ``dofmaps`` (one level's ``build_spaces``) through the level cache
+    The exact operators of the complex, the flux mass and, where
+    ``_takes_multigrid``, the potential's V-cycle transfers are read from
+    ``dofmaps`` (one level's ``build_spaces``) through the level cache
     ``forms``, as ``decoupled_solve`` does.
     """
-    config = config or SolverConfig()
-    if config.saddle_mode == "reduced":
-        if dofmaps is None:
-            raise SolverFailure("reduced saddle mode needs the level's dofmaps")
-        forms = forms if forms is not None else {}
-        return _solve_saddle_reduced(
-            A, C, D, cell_measures, rhs_phi, config, dofmaps, forms
-        )
-    return _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config)
-
-
-def _solve_saddle_direct(A, C, D, cell_measures, rhs_phi, config):
-    nphi, nrt = C.shape
-    nq = D.shape[0]
-    e = sp.csr_matrix(cell_measures.reshape(-1, 1))
-    K = sp.bmat(
-        [
-            [A, None, C, None],
-            [None, None, -D, e],
-            [C.T, -D.T, None, None],
-            [None, e.T, None, None],
-        ],
-        format="csr",
-    )
-    b = np.zeros(K.shape[0])
-    b[:nphi] = rhs_phi
-
-    Ks, s = _equilibrate(K)
     t0 = time.perf_counter()
-    try:
-        lu = spla.splu(Ks.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SolverFailure(f"saddle factorization failed: {exc}") from exc
-    factor_seconds = time.perf_counter() - t0
-
-    x = s * lu.solve(s * b)
-    bnorm = np.linalg.norm(b)
-    residuals = []
-    for _ in range(3):
-        r = b - K @ x
-        res = float(np.linalg.norm(r) / (1.0 + bnorm))
-        residuals.append(res)
-        if res <= config.saddle_tol:
-            break
-        x = x + s * lu.solve(s * r)
-    else:
-        r = b - K @ x
-        res = float(np.linalg.norm(r) / (1.0 + bnorm))
-        residuals.append(res)
-        if res > config.saddle_tol:
-            raise SolverFailure(
-                f"saddle refinement stalled at residual {res:.3e}", residuals
-            )
-    info = {
-        "mode": "direct",
-        "factor_seconds": factor_seconds,
-        "residuals": residuals,
-        "fill_nnz": int(lu.nnz),
-        "dim": K.shape[0],
-        "krylov": [],
-    }
-    phi = x[:nphi]
-    lam = x[nphi : nphi + nq]
-    p = x[nphi + nq : nphi + nq + nrt]
-    nu = float(x[-1])
-    return phi, lam, p, nu, info
-
-
-def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, dofmaps, forms):
-    """Complex-based exact reduction with a full-system residual certificate.
-
-    The multiplier block vanishes for the exact solution, the flux is
-    solenoidal, and the vector unknown is a discrete gradient, so the
-    system splits into (a) an SPD problem for the scalar potential of the
-    vector unknown and (b) a consistent curl-curl problem for the flux.
-    """
-    t0 = time.perf_counter()
+    forms = forms if forms is not None else {}
     G = _level_matrix("grad", dofmaps, forms)
     Knd = _level_matrix("curl_nd", dofmaps, forms)
     Gnd = _level_matrix("grad_nd", dofmaps, forms)
@@ -413,7 +338,9 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, dofmaps, form
         # consistent for CG
         z = solve_spd(L, Gnd.T @ r_e, config, stats=projection, atol=atol)
         r_e = r_e - Gnd @ z
-        y, flux = _solve_consistent(Z, r_e, config, atol)
+        # a flux solve stopped at maxiter does not raise: the certificate
+        # decides on it
+        y, flux = _pcg(Z, r_e, config, atol)
         for stage, record in (
             ("potential", potential), ("projection", projection), ("flux", flux)
         ):
@@ -427,15 +354,14 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, dofmaps, form
             residuals,
         )
 
-    # certify against the full block system, not just the phi rows
+    # certify against the full block system, not just the phi rows: with
+    # lam = 0 and nu = 0 the other rows' residuals are D p and C^T phi
     lam = np.zeros(nq)
-    r_lam = D @ p - 0.0  # nu = 0
-    r_p = C.T @ phi - D.T @ lam
     full_res = float(
         np.sqrt(
-            np.linalg.norm(rhs_phi - A @ phi - C @ p) ** 2
-            + np.linalg.norm(r_lam) ** 2
-            + np.linalg.norm(r_p) ** 2
+            np.linalg.norm(r_phi) ** 2
+            + np.linalg.norm(D @ p) ** 2
+            + np.linalg.norm(C.T @ phi) ** 2
         )
         / (1.0 + bnorm)
     )
@@ -455,6 +381,66 @@ def _solve_saddle_reduced(A, C, D, cell_measures, rhs_phi, config, dofmaps, form
     return phi, lam, p, 0.0, info
 
 
+def solve_saddle_lu(A, C, D, cell_measures, rhs_phi, config=None):
+    """The block system of ``solve_saddle``, with e = ``cell_measures``,
+    factored whole: sparse LU with symmetric equilibration and up to three
+    steps of iterative refinement.  Its fill grows prohibitively on larger
+    3D meshes, so it serves only as the tests' small-mesh oracle.  Returns
+    the same tuple, with ``info["mode"] == "direct"``.
+    """
+    config = config or SolverConfig()
+    nphi, nrt = C.shape
+    nq = D.shape[0]
+    e = sp.csr_matrix(cell_measures.reshape(-1, 1))
+    K = sp.bmat(
+        [
+            [A, None, C, None],
+            [None, None, -D, e],
+            [C.T, -D.T, None, None],
+            [None, e.T, None, None],
+        ],
+        format="csr",
+    )
+    b = np.zeros(K.shape[0])
+    b[:nphi] = rhs_phi
+
+    Ks, s = _equilibrate(K)
+    t0 = time.perf_counter()
+    try:
+        lu = spla.splu(Ks.tocsc(), permc_spec="COLAMD")
+    except RuntimeError as exc:
+        raise SolverFailure(f"saddle factorization failed: {exc}") from exc
+    factor_seconds = time.perf_counter() - t0
+
+    x = s * lu.solve(s * b)
+    bnorm = np.linalg.norm(b)
+    residuals = []
+    for refinements in range(4):
+        r = b - K @ x
+        res = float(np.linalg.norm(r) / (1.0 + bnorm))
+        residuals.append(res)
+        if res <= config.saddle_tol:
+            break
+        if refinements == 3:
+            raise SolverFailure(
+                f"saddle refinement stalled at residual {res:.3e}", residuals
+            )
+        x = x + s * lu.solve(s * r)
+    info = {
+        "mode": "direct",
+        "factor_seconds": factor_seconds,
+        "residuals": residuals,
+        "fill_nnz": int(lu.nnz),
+        "dim": K.shape[0],
+        "krylov": [],
+    }
+    phi = x[:nphi]
+    lam = x[nphi : nphi + nq]
+    p = x[nphi + nq : nphi + nq + nrt]
+    nu = float(x[-1])
+    return phi, lam, p, nu, info
+
+
 def _symmetric_part(M):
     """``(M + M.T) / 2`` in arrays of its own size: a scipy sum keeps the
     buffers it allocates for ``nnz(M) + nnz(M.T)`` entries, twice what a
@@ -468,18 +454,6 @@ def _maxiter_note(krylov):
     hits = [f"{r['stage']} (sweep {r['sweep']})" for r in krylov
             if r["reason"] == "maxiter"]
     return f"; inner solves stopped at maxiter: {', '.join(hits)}" if hits else ""
-
-
-def _solve_consistent(Z, b, config, atol):
-    """CG for a consistent positive-semidefinite system (flux curl-curl).
-
-    A solve that hits ``spd_maxiter`` is returned with reason ``maxiter``;
-    the full-block certificate of the saddle stage decides on it.
-    """
-    diag = Z.diagonal()
-    M = sp.diags(np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0))
-    x, record = _pcg(Z, b, config, M, atol)
-    return x, {"preconditioner": "jacobi", **record}
 
 
 def build_spaces(mesh):
@@ -549,6 +523,16 @@ def _p2_cycle(dofmaps, cache):
     return cache["p2_cycle"]
 
 
+def _stage(label, t0, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` and the seconds since ``t0``; a
+    ``SolverFailure`` is raised again with ``label`` in front."""
+    try:
+        result = solve(*args, **kwargs)
+    except SolverFailure as exc:
+        raise SolverFailure(f"{label}: {exc}", exc.residuals) from exc
+    return result, time.perf_counter() - t0
+
+
 def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     """Run the four decoupled stages for source ``f_field``.
 
@@ -569,11 +553,8 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     poisson_w = {}
     t0 = time.perf_counter()
     S_cycle = _p2_cycle(dofmaps, forms) if _takes_multigrid(mesh) else None
-    try:
-        w = solve_spd(S, b_f, config, stats=poisson_w, M=S_cycle)
-    except SolverFailure as exc:
-        raise SolverFailure(f"stage 1 (poisson w): {exc}", exc.residuals) from exc
-    t_w = time.perf_counter() - t0
+    w, t_w = _stage("stage 1 (poisson w)", t0, solve_spd, S, b_f, config,
+                    stats=poisson_w, M=S_cycle)
     w_h = FeFunction(dofmaps[P2], w)
 
     interp = config.method == "interp"
@@ -588,15 +569,10 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     rhs_phi = asm.assemble_load(
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
-    vols = asm.q_weights(mesh)
-    t0 = time.perf_counter()
-    try:
-        phi, lam, p, nu, saddle_info = solve_saddle(
-            A, C, D, vols, rhs_phi, config, dofmaps, forms
-        )
-    except SolverFailure as exc:
-        raise SolverFailure(f"stage 2 (saddle): {exc}", exc.residuals) from exc
-    t_saddle = time.perf_counter() - t0
+    (phi, lam, p, nu, saddle_info), t_saddle = _stage(
+        "stage 2 (saddle)", time.perf_counter(), solve_saddle,
+        A, C, D, rhs_phi, config, dofmaps, forms,
+    )
     phi_h = FeFunction(dofmaps[PHI], phi)
     lambda_h = FeFunction(dofmaps[Q], lam)
     p_h = FeFunction(dofmaps[RT], p)
@@ -605,12 +581,8 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
         "indphi_vs_gradp2" if interp else "phi_vs_gradp2", mesh, dofmaps, phi_h
     )
     poisson_u = {}
-    t0 = time.perf_counter()
-    try:
-        u = solve_spd(S, b_u, config, stats=poisson_u, M=S_cycle)
-    except SolverFailure as exc:
-        raise SolverFailure(f"stage 4 (poisson u): {exc}", exc.residuals) from exc
-    t_u = time.perf_counter() - t0
+    u, t_u = _stage("stage 4 (poisson u)", time.perf_counter(), solve_spd, S, b_u,
+                    config, stats=poisson_u, M=S_cycle)
     u_h = FeFunction(dofmaps[P2], u)
 
     sol = DecoupledSolution(

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from . import assembly as asm
 from . import elements as el
@@ -18,7 +19,7 @@ from .assembly import ND, PHI, Q, RT, W
 from .interpolate import FeFunction, diff_operator_matrix, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
-from .solvers import build_spaces
+from .solvers import build_spaces, solution_identity_norms
 
 
 @dataclass
@@ -360,8 +361,6 @@ def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
 
 def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8):
     """Algebraic identities of a solved decoupled system."""
-    from .solvers import solution_identity_norms
-
     report = report if report is not None else CertificationReport()
     norms = solution_identity_norms(sol, dofmaps)
     tol = rtol * norms["scale"]
@@ -379,8 +378,6 @@ def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8):
         # phi lies in the range of the gradient: least-squares residual
         grad = diff_operator_matrix("grad", dofmaps).matrix
         phi = sol.phi_h.coeffs
-        import scipy.sparse.linalg as spla
-
         gram = (grad.T @ grad).tocsc()
         wls = spla.spsolve(gram, grad.T @ phi)
         res = float(np.linalg.norm(grad @ wls - phi) / (1.0 + np.linalg.norm(phi)))

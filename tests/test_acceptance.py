@@ -120,15 +120,16 @@ def test_criterion_2_commuting_diagrams():
     assert not failures
 
 
-def test_criterion_3_solution_identities():
+def test_criterion_3_solution_identities(lu_saddle):
     mesh = build_unit_cube_mesh(4)
     dofmaps = build_spaces(mesh)
     data_cache = {}
     failures = []
     for eps in (1.0, 1e-4, 1e-6, 1e-8, 1e-10):
         data = data_cache.setdefault(eps, smooth_case_fields(eps))
-        cfg = SolverConfig(eps=eps, method="interp", saddle_mode="direct")
+        cfg = SolverConfig(eps=eps, method="interp")
         sol = decoupled_solve(data["f"], mesh, cfg, dofmaps)
+        assert sol.diagnostics["saddle"]["mode"] == "direct"
         rep = check_solution_identities(sol, dofmaps, rtol=1e-8)
         for c in rep.checks:
             if not c.passed:

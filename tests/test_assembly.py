@@ -178,7 +178,7 @@ def _dense_reference(kind, mesh, maps):
     """The local forms of every tet, from its own geometry rather than its
     class representative, scattered tet by tet with ``np.add.at`` into a
     dense matrix; a spare last row and column take the eliminated DoFs."""
-    rs, cs, degree, symmetric = asm._FORMS[kind]
+    rs, cs, degree, symmetric, _ = asm._FORMS[kind]
     own = mesh_geometry(mesh).take(np.arange(mesh.num_tets))
     own.rep_geometry = None
     local = asm._local_form(kind, own, degree)
@@ -340,8 +340,8 @@ def test_elementwise_equals_canonical_interpolation(mesh2, maps2):
 
     fields = smooth_case_fields(1.0)
     geom = mesh_geometry(mesh2)
-    fe = canonical_interpolate(maps2[PHI], fields["phi"], edge_degree=5, tri_degree=4)
-    per_elem = el.apply_dofs(el.PHI_NC, geom, fields["phi"])
+    fe = canonical_interpolate(maps2[PHI], fields["phi"])
+    per_elem = el.apply_dofs(el.PHI_NC, geom, fields["phi"], 11, 8, 8)
     table = maps2[PHI].cell_table
     keep = table >= 0
     assert np.abs(fe.coeffs[table[keep]] - per_elem[keep]).max() < 1e-12

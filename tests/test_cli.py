@@ -184,7 +184,7 @@ def test_markdown_and_csv_agree(tmp_path):
 
 def test_run_verify_passes_and_writes(tmp_path):
     cfg = StudyConfig(verify=True, verify_levels=(1,), serial=True)
-    report = run_verify(cfg, log=lambda *a: None)
+    report = run_verify(cfg)
     assert report.passed, report.to_text()
     identities = [
         f"identities.{method}_eps{eps}.{check}"
@@ -240,6 +240,21 @@ def test_study_without_out_writes_first_requested_format(capsys):
     assert capsys.readouterr().out.startswith("| test ")
     assert main(["--levels", "1", "--format", "json,csv", "--serial"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["n"] == 1
+
+
+def test_config_file_empty_out_keeps_stdout(tmp_path, monkeypatch, capsys):
+    """An empty "out" in a config file counts as unset, as an empty --out
+    does: the report goes to stdout and the working directory stays empty."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"out": "", "levels": [1], "epsilons": [1.0], "formats": ["csv"],
+         "serial": True}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("test,method,epsilon,n,h,dof_phi")
+    assert not any(line.startswith("done ") for line in out.splitlines())
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_rates_skip_a_failed_level(monkeypatch):

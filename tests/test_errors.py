@@ -77,7 +77,7 @@ def test_interpolant_of_space_member_reproduces(mesh2, maps2):
     rng = np.random.default_rng(5)
     fe = FeFunction(maps2[P2], rng.standard_normal(maps2[P2].dim))
     field = AnalyticField("member", 1, KuhnPointEvaluator(fe, 2).value)
-    reinterp = canonical_interpolate(maps2[P2], field, edge_degree=5)
+    reinterp = canonical_interpolate(maps2[P2], field)
     assert np.abs(reinterp.coeffs - fe.coeffs).max() < 1e-12
     err = compute_error("l2_scalar", reinterp, field)
     assert err < 1e-10

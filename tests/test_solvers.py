@@ -18,6 +18,7 @@ from ncderham.solvers import (
     build_spaces,
     decoupled_solve,
     solve_saddle,
+    solve_saddle_lu,
     solve_spd,
 )
 
@@ -49,8 +50,6 @@ def test_config_validation():
         SolverConfig(method="magic")
     with pytest.raises(ValueError):
         SolverConfig(spd_tol=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(saddle_mode="auto")
 
 
 def test_solve_spd_identity_and_tridiagonal():
@@ -116,27 +115,12 @@ def test_saddle_zero_rhs(setup2):
     A = vector_form(mesh, maps, 0.5)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    vols = asm.q_weights(mesh)
-    phi, lam, p, nu, info = solve_saddle(
-        A, C, D, vols, np.zeros(maps[PHI].dim), cfg, dofmaps=maps
-    )
+    phi, lam, p, nu, info = solve_saddle(A, C, D, np.zeros(maps[PHI].dim), cfg, maps)
     assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
     assert np.abs(p).max() == 0.0
     assert nu == 0.0
-
-
-def test_reduced_saddle_needs_the_level_dofmaps(setup2):
-    """The reduced route reads its operators from the level's DoF maps; it
-    fails with a SolverFailure, not an attribute error, without them."""
-    mesh, maps = setup2
-    A = vector_form(mesh, maps, 0.5)
-    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    with pytest.raises(SolverFailure, match="dofmaps"):
-        solve_saddle(A, C, D, asm.q_weights(mesh), np.ones(maps[PHI].dim),
-                     SolverConfig(eps=0.5))
 
 
 def test_saddle_manufactured_curl_free(setup2):
@@ -147,13 +131,12 @@ def test_saddle_manufactured_curl_free(setup2):
     A = vector_form(mesh, maps, 0.7)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    vols = asm.q_weights(mesh)
     rng = np.random.default_rng(42)
     wstar = rng.standard_normal(maps[W].dim)
     grad = diff_operator_matrix("grad", maps).matrix
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs_phi, cfg, dofmaps=maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs_phi, cfg, maps)
     assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
@@ -168,10 +151,9 @@ def test_saddle_tiny_eps_robustness(setup2):
     A = vector_form(mesh, maps, eps)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    vols = asm.q_weights(mesh)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(A, C, D, vols, rhs, cfg, dofmaps=maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs, cfg, maps)
     assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
@@ -216,13 +198,10 @@ def test_reduced_mode_matches_direct(setup2):
         phistar = grad @ rng.standard_normal(maps[W].dim)
         pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
         rhs = A @ phistar + C @ pstar
-        cfg_d = SolverConfig(eps=eps, saddle_mode="direct")
-        cfg_r = SolverConfig(eps=eps, saddle_mode="reduced")
-        phi_d, lam_d, p_d, nu_d, _ = solve_saddle(A, C, D, vols, rhs, cfg_d)
-        phi_r, lam_r, p_r, nu_r, info = solve_saddle(
-            A, C, D, vols, rhs, cfg_r, dofmaps=maps
-        )
-        assert info["mode"] == "reduced"
+        cfg = SolverConfig(eps=eps)
+        phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs, cfg)
+        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, D, rhs, cfg, maps)
+        assert info_d["mode"] == "direct" and info["mode"] == "reduced"
         scale = max(1.0, np.abs(phi_d).max())
         assert np.abs(phi_r - phi_d).max() <= 1e-7 * scale
         assert np.abs(p_r - p_d).max() <= 1e-6 * max(1.0, np.abs(p_d).max())
@@ -248,7 +227,7 @@ def test_inner_stops_end_the_small_eps_flux_stall(setup4):
     """At eps=1e-8 the flux right-hand side lies below the outer problem's
     scale, so the flux solve stops at once instead of running to maxiter."""
     mesh, maps = setup4
-    cfg = SolverConfig(eps=1e-8, saddle_mode="reduced")
+    cfg = SolverConfig(eps=1e-8)
     sol = decoupled_solve(layer_case_fields()["f"], mesh, cfg, maps)
     saddle = sol.diagnostics["saddle"]
     assert saddle["mode"] == "reduced"
@@ -263,7 +242,7 @@ def test_inner_stops_are_certificate_scaled(setup4):
     saddle's data scale, unless its own relative stop is the looser one
     (the first potential solve, whose right-hand side is the data itself)."""
     mesh, maps = setup4
-    cfg = SolverConfig(eps=1.0, saddle_mode="reduced")
+    cfg = SolverConfig(eps=1.0)
     sol = decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
     rhs_phi = asm.assemble_load("gradw_vs_indphi", mesh, maps, sol.w_h)
     atol = cfg.spd_tol * (1.0 + np.linalg.norm(rhs_phi))
@@ -296,16 +275,16 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     # a pure flux right-hand side: the potential solves take no iterations
     pstar = curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
-    cfg = SolverConfig(eps=0.6, saddle_mode="reduced", spd_maxiter=5)
+    cfg = SolverConfig(eps=0.6, spd_maxiter=5)
     with pytest.raises(SolverFailure) as exc:
-        solve_saddle(A, C, D, asm.q_weights(mesh), C @ pstar, cfg, dofmaps=maps)
+        solve_saddle(A, C, D, C @ pstar, cfg, maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
     assert exc.value.residuals
 
 
 def test_inner_solve_failure_names_its_stage(setup4):
     mesh, maps = setup4
-    cfg = SolverConfig(eps=1.0, saddle_mode="reduced", spd_maxiter=3)
+    cfg = SolverConfig(eps=1.0, spd_maxiter=3)
     with pytest.raises(SolverFailure) as exc:
         decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
     assert str(exc.value).startswith("stage 1 (poisson w): ")

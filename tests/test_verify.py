@@ -92,20 +92,22 @@ def test_infsup_mesh_stability():
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-8])
-def test_solution_identities_via_direct_solve(mesh2, eps):
+def test_solution_identities_via_direct_solve(mesh2, eps, lu_saddle):
     maps = build_spaces(mesh2)
     data = smooth_case_fields(eps)
-    cfg = SolverConfig(eps=eps, saddle_mode="direct")
+    cfg = SolverConfig(eps=eps)
     sol = decoupled_solve(data["f"], mesh2, cfg, maps)
+    assert sol.diagnostics["saddle"]["mode"] == "direct"
     rep = check_solution_identities(sol, maps)
     assert rep.passed, rep.to_text()
 
 
-def test_solution_identities_nointerp(mesh2):
+def test_solution_identities_nointerp(mesh2, lu_saddle):
     maps = build_spaces(mesh2)
     data = smooth_case_fields(1e-6)
-    cfg = SolverConfig(eps=1e-6, method="nointerp", saddle_mode="direct")
+    cfg = SolverConfig(eps=1e-6, method="nointerp")
     sol = decoupled_solve(data["f"], mesh2, cfg, maps)
+    assert sol.diagnostics["saddle"]["mode"] == "direct"
     rep = check_solution_identities(sol, maps)
     assert rep.passed, rep.to_text()
     names = [c.name for c in rep.checks]
