@@ -53,8 +53,9 @@ def compute_error(kind, fe, exact, quad_degree=8):
         tids = np.arange(lo, min(lo + _CHUNK, nT))
         vals = evaluate(fe, pts, tids)
         ex = np.asarray(exact_fn(points.take(tids))).reshape(vals.shape)
+        vals -= ex  # vals is the evaluation's own array
         # pointwise squared norm over the value axes (none for scalars)
-        d = (vals - ex).reshape(tids.size, w.size, -1)
+        d = vals.reshape(tids.size, w.size, -1)
         total += float(geom.volume[tids] @ (np.einsum("tqk,tqk->tq", d, d) @ w))
     return math.sqrt(total)
 

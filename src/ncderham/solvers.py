@@ -65,21 +65,23 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pcg(matrix, rhs, config, atol, M=None):
+def _pcg(matrix, rhs, config, atol, M=None, diag=None):
     """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
 
-    ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned,
-    and a zero diagonal entry of a semidefinite matrix (the flux curl-curl)
-    is scaled by one.  Returns the iterate and the solve's record: the
-    ``preconditioner`` (with a V-cycle's ``VCycle.record``), ``iterations``,
-    the true residual ``||rhs - matrix x||``, the stopping ``target`` and the
-    stop ``reason``: ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted``
-    when CG's recursive residual met the target but the true residual did
-    not.
+    ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned
+    by ``diag``, the matrix's diagonal (read here when None), and a zero
+    diagonal entry of a semidefinite matrix (the flux curl-curl) is scaled
+    by one.  CG applies the matrix and the Jacobi scaling as plain matvecs.
+    Returns the iterate and the solve's record: the ``preconditioner``
+    (with a V-cycle's ``VCycle.record``), ``iterations``, the true residual
+    ``||rhs - matrix x||``, the stopping ``target`` and the stop ``reason``:
+    ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted`` when CG's
+    recursive residual met the target but the true residual did not.
     """
     if M is None:
-        diag = matrix.diagonal()
-        M = sp.diags(np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0))
+        diag = matrix.diagonal() if diag is None else diag
+        dinv = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
+        M = spla.LinearOperator(matrix.shape, matvec=lambda r: dinv * r, dtype=float)
         info = {"preconditioner": "jacobi"}
     else:
         info = M.record()
@@ -94,8 +96,9 @@ def _pcg(matrix, rhs, config, atol, M=None):
         count[0] += 1
 
     x, status = spla.cg(
-        matrix, rhs, rtol=config.spd_tol, atol=atol,
-        maxiter=config.spd_maxiter, M=M, callback=cb,
+        spla.LinearOperator(matrix.shape, matvec=matrix.dot, dtype=float), rhs,
+        rtol=config.spd_tol, atol=atol, maxiter=config.spd_maxiter, M=M,
+        callback=cb,
     )
     residual = float(np.linalg.norm(rhs - matrix @ x))
     if status != 0:
@@ -124,9 +127,12 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
-    if M is None and np.any(matrix.diagonal() <= 0):
-        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-    x, record = _pcg(matrix, rhs, config, atol, M)
+    diag = None
+    if M is None:
+        diag = matrix.diagonal()
+        if np.any(diag <= 0):
+            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+    x, record = _pcg(matrix, rhs, config, atol, M, diag)
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
@@ -155,16 +161,19 @@ class VCycle(spla.LinearOperator):
 
     SMOOTHING_STEPS = 3
 
-    def __init__(self, matrix, transfers):
+    def __init__(self, matrix, transfers, restrictions=None):
         t0 = time.perf_counter()
         super().__init__(float, matrix.shape)
         self.transfers = list(transfers)
-        self.restrictions = [P.T.tocsr() for P in self.transfers]
+        # the level's cached P^T in CSR (_level_cycle), else built here
+        self.restrictions = (list(restrictions) if restrictions is not None
+                             else [P.T.tocsr() for P in self.transfers])
         self.ops = [_without_roundoff(matrix)]
         for P, R in zip(self.transfers, self.restrictions):
             coarse = R @ (self.ops[-1] @ P)
             self.ops.append(_without_roundoff(_symmetric_part(coarse)))
         self.inv_diag = [1.0 / A.diagonal() for A in self.ops[:-1]]
+        self.scratch = [np.empty(A.shape[0]) for A in self.ops[:-1]]
         self.bounds = []
         for A, dinv in zip(self.ops[:-1], self.inv_diag):
             lmax = _lanczos_max(A, dinv)
@@ -195,22 +204,30 @@ class VCycle(spla.LinearOperator):
 
     def _smooth(self, level, b, x, r):
         """Chebyshev steps from ``x`` with residual ``r`` (computed when
-        None); returns the iterate and, for the pre-smoother, its residual."""
-        A, dinv = self.ops[level], self.inv_diag[level]
+        None); returns the iterate and, for the pre-smoother, its residual.
+        Apart from the sparse products the steps update ``x``, ``r`` and the
+        direction in place, through the level's one scratch vector."""
+        A, dinv, s = self.ops[level], self.inv_diag[level], self.scratch[level]
         lo, hi = self.bounds[level]
         pre = r is not None
         if not pre:
-            r = b - A @ x
+            r = A @ x
+            np.subtract(b, r, out=r)
         theta, delta = (hi + lo) / 2, (hi - lo) / 2
         rho = delta / theta
-        d = dinv * r / theta
+        d = dinv * r
+        d /= theta
         for step in range(self.SMOOTHING_STEPS):
             x += d
             if step == self.SMOOTHING_STEPS - 1:
                 break
             r -= A @ d
             rho_next = 1.0 / (2 * theta / delta - rho)
-            d = rho_next * rho * d + (2 * rho_next / delta) * (dinv * r)
+            # d = rho_next rho d + (2 rho_next / delta) (dinv r)
+            d *= rho_next * rho
+            np.multiply(dinv, r, out=s)
+            s *= 2 * rho_next / delta
+            d += s
             rho = rho_next
         if pre:
             r -= A @ d
@@ -292,25 +309,28 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     by the residual of the full block system, so correctness never rests on
     the reduction argument alone.
 
-    The exact operators of the complex, the flux mass and, where
-    ``_takes_multigrid``, the potential's V-cycle transfers are read from
-    ``dofmaps`` (one level's ``build_spaces``) through the level cache
-    ``forms``, as ``decoupled_solve`` does.
+    Every operator that does not depend on eps -- the complex's operators,
+    their transposes, the flux curl-curl, the projection Laplacian and,
+    where ``_takes_multigrid``, the potential's V-cycle transfers -- is read
+    from ``dofmaps`` (one level's ``build_spaces``) through the level cache
+    ``forms``, as ``decoupled_solve`` does, so the solves of a level form
+    them once.  Only the potential matrix ``G^T A G`` depends on eps.
     """
     t0 = time.perf_counter()
     forms = forms if forms is not None else {}
-    G = _level_matrix("grad", dofmaps, forms)
-    Knd = _level_matrix("curl_nd", dofmaps, forms)
-    Gnd = _level_matrix("grad_nd", dofmaps, forms)
-    Mrt = _level_matrix("rt_mass", dofmaps, forms)
+    G, Gt = (_level_matrix(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
+    Ared = _symmetric_part(_sorted(Gt @ (A @ G)))
+    # the other operators after Ared: on a level's first solve the products
+    # that form Z then do not overlap those of Ared (the n=32 peak)
+    Knd, Gnd, Gnd_t, Z, L = (
+        _level_matrix(kind, dofmaps, forms)
+        for kind in ("curl_nd", "grad_nd", "grad_nd_t", "flux_curl_curl",
+                     "projection_laplacian")
+    )
     multigrid = _takes_multigrid(dofmaps[W].mesh)  # else Jacobi
     nd_dim = Knd.shape[1]
     nphi = A.shape[0]
     nq = D.shape[0]
-
-    Ared = _symmetric_part((G.T @ (A @ G)).tocsr())
-    Z = _symmetric_part((Knd.T @ (Mrt @ Knd)).tocsr())
-    L = (Gnd.T @ Gnd).tocsr()  # graph Laplacian of the gradient range
 
     phi = np.zeros(nphi)
     p = np.zeros(C.shape[1])
@@ -329,14 +349,14 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
             break
         potential, projection = {}, {}
         if M is None and multigrid:
-            M = VCycle(Ared, _cycle_transfers(W, dofmaps, forms))
-        w = solve_spd(Ared, G.T @ r_phi, config, stats=potential, atol=atol, M=M)
+            M = _level_cycle(W, Ared, dofmaps, forms)
+        w = solve_spd(Ared, Gt @ r_phi, config, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
         # the solver tolerance of the potential step leaves a tiny component
         # in the gradient directions; remove it so the flux system is
         # consistent for CG
-        z = solve_spd(L, Gnd.T @ r_e, config, stats=projection, atol=atol)
+        z = solve_spd(L, Gnd_t @ r_e, config, stats=projection, atol=atol)
         r_e = r_e - Gnd @ z
         # a flux solve stopped at maxiter does not raise: the certificate
         # decides on it
@@ -441,6 +461,14 @@ def solve_saddle_lu(A, C, D, cell_measures, rhs_phi, config=None):
     return phi, lam, p, nu, info
 
 
+def _sorted(M):
+    """``M`` (a CSR product) with its column indices sorted in place: the
+    order a CSC -> CSR conversion leaves, on which the bits of every later
+    product with ``M`` depend."""
+    M.sort_indices()
+    return M
+
+
 def _symmetric_part(M):
     """``(M + M.T) / 2`` in arrays of its own size: a scipy sum keeps the
     buffers it allocates for ``nnz(M) + nnz(M.T)`` entries, twice what a
@@ -461,13 +489,33 @@ def build_spaces(mesh):
     return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
 
 
+# eps-free operators of the saddle stage, derived from the level's forms
+# and operators: kind -> its matrix from a lookup of other kinds
+_SADDLE_OPERATORS = {
+    "grad_t": lambda m: m("grad").T.tocsr(),
+    "grad_nd_t": lambda m: m("grad_nd").T.tocsr(),
+    # the flux curl-curl K_nd^T M_rt K_nd; K_nd^T serves only here, so the
+    # level does not keep it (28 MB at n=32)
+    "flux_curl_curl": lambda m: _symmetric_part(
+        _sorted(m("curl_nd").T.tocsr() @ (m("rt_mass") @ m("curl_nd")))
+    ),
+    # the graph Laplacian G_nd^T G_nd of the gradient range
+    "projection_laplacian": lambda m: _sorted(m("grad_nd_t") @ m("grad_nd")),
+}
+
+
 def _level_matrix(kind, dofmaps, cache):
-    """Matrix of a bilinear form or an exact operator on the level of
-    ``dofmaps`` (its ``build_spaces``), built once per ``cache`` dict (keyed
-    by form or operator kind)."""
+    """Matrix of a bilinear form, an exact operator or one of the saddle
+    stage's ``_SADDLE_OPERATORS`` on the level of ``dofmaps`` (its
+    ``build_spaces``), built once per ``cache`` dict (keyed by kind)."""
     if kind not in cache:
         if kind in asm.FORM_KINDS:
             cache[kind] = asm.assemble_bilinear(kind, dofmaps[P2].mesh, dofmaps)
+        elif kind in _SADDLE_OPERATORS:
+            matrix = _SADDLE_OPERATORS[kind](
+                lambda other: _level_matrix(other, dofmaps, cache)
+            )
+            cache[kind] = asm.AssembledForm(matrix)
         else:
             cache[kind] = diff_operator_matrix(kind, dofmaps)
     return cache[kind].matrix
@@ -494,7 +542,8 @@ def _takes_multigrid(mesh):
 
 def _cycle_transfers(space, dofmaps, cache):
     """Transfers of the V-cycle on ``space`` (W or P2) on a Kuhn cube,
-    finest first; built once per level ``cache``.
+    finest first; built once per level ``cache``, together with their
+    restrictions ``P^T`` in CSR (``_level_cycle``).
 
     The first is an auxiliary space, not a nested one: the P1 vertex space
     of the same mesh (``vertex_interpolant``), which carries the W
@@ -507,10 +556,22 @@ def _cycle_transfers(space, dofmaps, cache):
             p1_kuhn_prolongation(n)
             for n in _kuhn_levels(dofmaps[space].mesh.kuhn_n)[:-1]
         )
+        cache["p1_restrictions"] = tuple(
+            P.T.tocsr() for P in cache["p1_prolongations"]
+        )
     key = f"{space}_transfers"
     if key not in cache:
-        cache[key] = (vertex_interpolant(dofmaps[space]),) + cache["p1_prolongations"]
+        first = vertex_interpolant(dofmaps[space])
+        cache[key] = (first,) + cache["p1_prolongations"]
+        cache[f"{space}_restrictions"] = (first.T.tocsr(),) + cache["p1_restrictions"]
     return cache[key]
+
+
+def _level_cycle(space, matrix, dofmaps, cache):
+    """V-cycle of ``matrix`` on ``space`` with the level's cached transfers
+    and restrictions."""
+    transfers = _cycle_transfers(space, dofmaps, cache)
+    return VCycle(matrix, transfers, cache[f"{space}_restrictions"])
 
 
 def _p2_cycle(dofmaps, cache):
@@ -519,7 +580,7 @@ def _p2_cycle(dofmaps, cache):
     every solve on the level share one cycle."""
     if "p2_cycle" not in cache:
         S = _level_matrix("poisson_p2", dofmaps, cache)
-        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, dofmaps, cache))
+        cache["p2_cycle"] = _level_cycle(P2, S, dofmaps, cache)
     return cache["p2_cycle"]
 
 

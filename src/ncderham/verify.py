@@ -19,7 +19,7 @@ from .assembly import ND, PHI, Q, RT, W
 from .interpolate import FeFunction, diff_operator_matrix, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
-from .solvers import build_spaces, solution_identity_norms
+from .solvers import _level_matrix, build_spaces, solution_identity_norms
 
 
 @dataclass
@@ -359,10 +359,13 @@ def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
     return report
 
 
-def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8):
-    """Algebraic identities of a solved decoupled system."""
+def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8, forms=None):
+    """Algebraic identities of a solved decoupled system.  ``forms`` is the
+    level cache of ``decoupled_solve``; without it every matrix is built
+    afresh."""
     report = report if report is not None else CertificationReport()
-    norms = solution_identity_norms(sol, dofmaps)
+    forms = forms if forms is not None else {}
+    norms = solution_identity_norms(sol, dofmaps, forms)
     tol = rtol * norms["scale"]
     prefix = f"identities.{sol.method}_eps{sol.eps:g}"
     checks = [
@@ -376,10 +379,11 @@ def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8):
         report.add(f"{prefix}.{check}", norms[key] <= tol, norms[key], tol)
     if sol.method == "interp":
         # phi lies in the range of the gradient: least-squares residual
-        grad = diff_operator_matrix("grad", dofmaps).matrix
+        grad = _level_matrix("grad", dofmaps, forms)
+        grad_t = _level_matrix("grad_t", dofmaps, forms)
         phi = sol.phi_h.coeffs
-        gram = (grad.T @ grad).tocsc()
-        wls = spla.spsolve(gram, grad.T @ phi)
+        gram = (grad_t @ grad).tocsc()
+        wls = spla.spsolve(gram, grad_t @ phi)
         res = float(np.linalg.norm(grad @ wls - phi) / (1.0 + np.linalg.norm(phi)))
         report.add(
             f"{prefix}.phi_in_grad_w", res <= rtol, res, rtol,

@@ -11,6 +11,7 @@ from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
 from ncderham.errors import compute_error, err_phi
 from ncderham.mesh import build_unit_cube_mesh
+from test_fields import _jittered_cube
 from ncderham.solvers import (
     SolverConfig,
     SolverFailure,
@@ -221,6 +222,129 @@ def test_stage_matrices_shared(setup2):
     n_before = len(forms)
     decoupled_solve(data["f"], mesh, cfg, maps, forms)
     assert len(forms) == n_before
+
+
+def _same_csr(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("name", ["kuhn2", "kuhn3", "jittered2"])
+def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch):
+    """The level's CSR transposes, flux curl-curl and projection Laplacian,
+    and the potential matrix the saddle stage forms from the cached
+    transpose, carry the data, indices and indptr of the products through
+    scipy's CSC transposes that they replace; the transposes apply as the
+    ``.T`` products did."""
+    mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
+    maps, forms = build_spaces(mesh), {}
+    G, Knd, Gnd, Mrt = (solvers._level_matrix(k, maps, forms)
+                        for k in ("grad", "curl_nd", "grad_nd", "rt_mass"))
+    A = vector_form(mesh, maps, 0.3).copy()
+    reference = {
+        "flux_curl_curl": solvers._symmetric_part((Knd.T @ (Mrt @ Knd)).tocsr()),
+        "projection_laplacian": (Gnd.T @ Gnd).tocsr(),
+    }
+    for kind, ref in reference.items():
+        assert _same_csr(solvers._level_matrix(kind, maps, forms), ref), kind
+    rng = np.random.default_rng(5)
+    for kind, op in (("grad_t", G), ("grad_nd_t", Gnd)):
+        Ot = solvers._level_matrix(kind, maps, forms)
+        assert _same_csr(Ot, op.T.tocsr()), kind
+        v = rng.standard_normal(op.shape[0])
+        assert np.array_equal(Ot @ v, op.T @ v), kind
+
+    matrices = []
+
+    def recording_solve_spd(matrix, *args, **kwargs):
+        matrices.append(matrix)
+        return solve_spd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_spd", recording_solve_spd)
+    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
+    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
+    rhs = A @ (G @ rng.standard_normal(maps[W].dim))
+    solve_saddle(A, C, D, rhs, SolverConfig(eps=0.3), maps, forms)
+    potential, projection = matrices[:2]
+    assert _same_csr(potential, solvers._symmetric_part((G.T @ (A @ G)).tocsr()))
+    assert projection is solvers._level_matrix("projection_laplacian", maps, forms)
+
+
+@pytest.fixture(scope="module")
+def level_reuse():
+    """Smooth n=4 solves at eps=1, then eps=1e-4, on one level cache, with
+    both V-cycles forced on and every build of a form, an operator, a
+    transfer or a saddle-stage operator counted."""
+    mesh = build_unit_cube_mesh(4)
+    maps, forms = build_spaces(mesh), {}
+    built, cycles = [], []
+
+    def counting(label, build):
+        def wrapper(*args, **kwargs):
+            built.append(label)
+            return build(*args, **kwargs)
+        return wrapper
+
+    class RecordingVCycle(VCycle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            cycles.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_takes_multigrid", lambda mesh: True)
+        mp.setattr(solvers, "VCycle", RecordingVCycle)
+        mp.setattr(asm, "assemble_bilinear", counting("form", asm.assemble_bilinear))
+        for name in ("diff_operator_matrix", "vertex_interpolant", "p1_kuhn_prolongation"):
+            mp.setattr(solvers, name, counting(name, getattr(solvers, name)))
+        mp.setattr(solvers, "_SADDLE_OPERATORS", {
+            k: counting(k, b) for k, b in solvers._SADDLE_OPERATORS.items()})
+        first = decoupled_solve(smooth_case_fields(1.0)["f"], mesh,
+                                SolverConfig(eps=1.0), maps, forms)
+        cached, count = dict(forms), len(built)
+        second = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
+                                 SolverConfig(eps=1e-4), maps, forms)
+        built_again = built[count:]
+        fresh = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
+                                SolverConfig(eps=1e-4), build_spaces(mesh), {})
+    return {"maps": maps, "forms": forms, "cached": cached,
+            "built": built[:count], "built_again": built_again, "cycles": cycles,
+            "solves": (first, second, fresh)}
+
+
+def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
+    """The eps-free operators of the saddle stage are built on the level's
+    first solve; the second forms none of them, nor any form, operator or
+    transfer, and finds the same objects in the cache.  The W potential's
+    cycle is rebuilt (its matrix depends on eps) from the level's
+    restrictions, each the CSR of its transfer's transpose."""
+    r = level_reuse
+    assert set(solvers._SADDLE_OPERATORS) <= set(r["built"])
+    assert r["built_again"] == []
+    assert r["forms"].keys() == r["cached"].keys()
+    assert all(r["forms"][k] is v for k, v in r["cached"].items())
+    w_dim = r["maps"][W].dim
+    w_cycles = [c for c in r["cycles"] if c.shape[0] == w_dim]
+    assert len(w_cycles) == 3  # one per saddle solve
+    first, second = w_cycles[:2]
+    assert all(a is b for a, b in zip(first.restrictions, second.restrictions, strict=True))
+    for P, R in zip(first.transfers, first.restrictions, strict=True):
+        assert _same_csr(R, P.T.tocsr())
+
+
+def test_a_shared_level_solves_as_a_fresh_one(level_reuse):
+    """eps=1e-4 after eps=1 on one cache gives the bits of eps=1e-4 on a
+    fresh cache: the same phi_h and u_h and the same Krylov records, set-up
+    seconds aside."""
+    _, shared, fresh = level_reuse["solves"]
+    for key in ("w_h", "phi_h", "p_h", "u_h"):
+        assert np.array_equal(getattr(shared, key).coeffs, getattr(fresh, key).coeffs), key
+
+    def records(sol):
+        return [{k: v for k, v in r.items() if k != "setup_s"}
+                for r in sol.diagnostics["krylov"]]
+
+    assert records(shared) == records(fresh)
+    assert shared.diagnostics["saddle"]["residuals"] == fresh.diagnostics["saddle"]["residuals"]
 
 
 def test_inner_stops_end_the_small_eps_flux_stall(setup4):

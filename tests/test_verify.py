@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from ncderham.cli import main
 from ncderham.fields import smooth_case_fields
 from ncderham.mesh import build_unit_cube_mesh
 from ncderham.solvers import SolverConfig, build_spaces, decoupled_solve
@@ -122,3 +124,13 @@ def test_report_serialization(mesh1):
     payload = json.loads(rep.to_json())
     assert payload["passed"] is True
     assert len(payload["checks"]) == len(rep.checks)
+
+
+def test_serial_verify_json_matches_the_recorded_report(tmp_path):
+    """The ``--verify --serial`` report is pinned byte for byte: its four
+    solves and their identity checks share one level cache, and no check
+    value may move by a bit against the per-call matrices it replaced."""
+    out = tmp_path / "v"
+    assert main(["--verify", "--serial", "--out", str(out)]) == 0
+    recorded = Path(__file__).parent / "data" / "verify_serial.json"
+    assert (out / "verify.json").read_bytes() == recorded.read_bytes()
