@@ -65,21 +65,21 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pcg(matrix, rhs, config, atol, M=None, diag=None):
+def _pcg(matrix, rhs, config, atol, M=None):
     """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
 
-    ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned
-    by ``diag``, the matrix's diagonal (read here when None), and a zero
-    diagonal entry of a semidefinite matrix (the flux curl-curl) is scaled
-    by one.  CG applies the matrix and the Jacobi scaling as plain matvecs.
-    Returns the iterate and the solve's record: the ``preconditioner``
-    (with a V-cycle's ``VCycle.record``), ``iterations``, the true residual
-    ``||rhs - matrix x||``, the stopping ``target`` and the stop ``reason``:
-    ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted`` when CG's
-    recursive residual met the target but the true residual did not.
+    ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned,
+    and a zero diagonal entry of a semidefinite matrix (the flux curl-curl)
+    is scaled by one.  CG applies the matrix and the Jacobi scaling as
+    plain matvecs.  Returns the iterate and the solve's record: the
+    ``preconditioner`` (with a V-cycle's ``VCycle.record``), ``iterations``,
+    the true residual ``||rhs - matrix x||``, the stopping ``target`` and the
+    stop ``reason``: ``converged``, ``maxiter``, ``zero_rhs``, or ``drifted``
+    when CG's recursive residual met the target but the true residual did
+    not.
     """
     if M is None:
-        diag = matrix.diagonal() if diag is None else diag
+        diag = matrix.diagonal()
         dinv = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
         M = spla.LinearOperator(matrix.shape, matvec=lambda r: dinv * r, dtype=float)
         info = {"preconditioner": "jacobi"}
@@ -127,12 +127,9 @@ def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
-    diag = None
-    if M is None:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0):
-            raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-    x, record = _pcg(matrix, rhs, config, atol, M, diag)
+    if M is None and np.any(matrix.diagonal() <= 0):
+        raise SolverFailure("matrix has nonpositive diagonal; not SPD")
+    x, record = _pcg(matrix, rhs, config, atol, M)
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
@@ -161,19 +158,16 @@ class VCycle(spla.LinearOperator):
 
     SMOOTHING_STEPS = 3
 
-    def __init__(self, matrix, transfers, restrictions=None):
+    def __init__(self, matrix, transfers):
         t0 = time.perf_counter()
         super().__init__(float, matrix.shape)
         self.transfers = list(transfers)
-        # the level's cached P^T in CSR (_level_cycle), else built here
-        self.restrictions = (list(restrictions) if restrictions is not None
-                             else [P.T.tocsr() for P in self.transfers])
+        self.restrictions = [P.T.tocsr() for P in self.transfers]
         self.ops = [_without_roundoff(matrix)]
         for P, R in zip(self.transfers, self.restrictions):
             coarse = R @ (self.ops[-1] @ P)
             self.ops.append(_without_roundoff(_symmetric_part(coarse)))
         self.inv_diag = [1.0 / A.diagonal() for A in self.ops[:-1]]
-        self.scratch = [np.empty(A.shape[0]) for A in self.ops[:-1]]
         self.bounds = []
         for A, dinv in zip(self.ops[:-1], self.inv_diag):
             lmax = _lanczos_max(A, dinv)
@@ -204,30 +198,22 @@ class VCycle(spla.LinearOperator):
 
     def _smooth(self, level, b, x, r):
         """Chebyshev steps from ``x`` with residual ``r`` (computed when
-        None); returns the iterate and, for the pre-smoother, its residual.
-        Apart from the sparse products the steps update ``x``, ``r`` and the
-        direction in place, through the level's one scratch vector."""
-        A, dinv, s = self.ops[level], self.inv_diag[level], self.scratch[level]
+        None); returns the iterate and, for the pre-smoother, its residual."""
+        A, dinv = self.ops[level], self.inv_diag[level]
         lo, hi = self.bounds[level]
         pre = r is not None
         if not pre:
-            r = A @ x
-            np.subtract(b, r, out=r)
+            r = b - A @ x
         theta, delta = (hi + lo) / 2, (hi - lo) / 2
         rho = delta / theta
-        d = dinv * r
-        d /= theta
+        d = dinv * r / theta
         for step in range(self.SMOOTHING_STEPS):
             x += d
             if step == self.SMOOTHING_STEPS - 1:
                 break
             r -= A @ d
             rho_next = 1.0 / (2 * theta / delta - rho)
-            # d = rho_next rho d + (2 rho_next / delta) (dinv r)
-            d *= rho_next * rho
-            np.multiply(dinv, r, out=s)
-            s *= 2 * rho_next / delta
-            d += s
+            d = rho_next * rho * d + (2 * rho_next / delta) * (dinv * r)
             rho = rho_next
         if pre:
             r -= A @ d
@@ -349,7 +335,7 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
             break
         potential, projection = {}, {}
         if M is None and multigrid:
-            M = _level_cycle(W, Ared, dofmaps, forms)
+            M = VCycle(Ared, _cycle_transfers(W, dofmaps, forms))
         w = solve_spd(Ared, Gt @ r_phi, config, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
@@ -542,8 +528,7 @@ def _takes_multigrid(mesh):
 
 def _cycle_transfers(space, dofmaps, cache):
     """Transfers of the V-cycle on ``space`` (W or P2) on a Kuhn cube,
-    finest first; built once per level ``cache``, together with their
-    restrictions ``P^T`` in CSR (``_level_cycle``).
+    finest first; built once per level ``cache``.
 
     The first is an auxiliary space, not a nested one: the P1 vertex space
     of the same mesh (``vertex_interpolant``), which carries the W
@@ -556,22 +541,10 @@ def _cycle_transfers(space, dofmaps, cache):
             p1_kuhn_prolongation(n)
             for n in _kuhn_levels(dofmaps[space].mesh.kuhn_n)[:-1]
         )
-        cache["p1_restrictions"] = tuple(
-            P.T.tocsr() for P in cache["p1_prolongations"]
-        )
     key = f"{space}_transfers"
     if key not in cache:
-        first = vertex_interpolant(dofmaps[space])
-        cache[key] = (first,) + cache["p1_prolongations"]
-        cache[f"{space}_restrictions"] = (first.T.tocsr(),) + cache["p1_restrictions"]
+        cache[key] = (vertex_interpolant(dofmaps[space]),) + cache["p1_prolongations"]
     return cache[key]
-
-
-def _level_cycle(space, matrix, dofmaps, cache):
-    """V-cycle of ``matrix`` on ``space`` with the level's cached transfers
-    and restrictions."""
-    transfers = _cycle_transfers(space, dofmaps, cache)
-    return VCycle(matrix, transfers, cache[f"{space}_restrictions"])
 
 
 def _p2_cycle(dofmaps, cache):
@@ -580,7 +553,7 @@ def _p2_cycle(dofmaps, cache):
     every solve on the level share one cycle."""
     if "p2_cycle" not in cache:
         S = _level_matrix("poisson_p2", dofmaps, cache)
-        cache["p2_cycle"] = _level_cycle(P2, S, dofmaps, cache)
+        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, dofmaps, cache))
     return cache["p2_cycle"]
 
 
@@ -704,3 +677,15 @@ def solution_identity_norms(sol, dofmaps, forms=None):
         "ind_phi_minus_grad_u_l2": ind_grad_norm,
         "scale": scale,
     }
+
+
+def gradient_range_residual(phi, dofmaps, forms=None):
+    """How far the Phi coefficients ``phi`` lie from the range of the W
+    gradient: the least-squares residual ``||grad w - phi|| / (1 + ||phi||)``.
+    ``forms`` is the level cache, as in ``solution_identity_norms``."""
+    forms = forms if forms is not None else {}
+    grad = _level_matrix("grad", dofmaps, forms)
+    grad_t = _level_matrix("grad_t", dofmaps, forms)
+    gram = (grad_t @ grad).tocsc()
+    w = spla.spsolve(gram, grad_t @ phi)
+    return float(np.linalg.norm(grad @ w - phi) / (1.0 + np.linalg.norm(phi)))

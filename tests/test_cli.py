@@ -118,8 +118,8 @@ def test_study_builds_one_p2_cycle_per_level(tmp_path, monkeypatch):
     built = []
 
     class CountingVCycle(solvers.VCycle):
-        def __init__(self, matrix, *args):
-            super().__init__(matrix, *args)
+        def __init__(self, matrix, transfers):
+            super().__init__(matrix, transfers)
             built.append(matrix.shape[0])
 
     monkeypatch.setattr(solvers, "_takes_multigrid", lambda mesh: True)

@@ -316,7 +316,7 @@ def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
     first solve; the second forms none of them, nor any form, operator or
     transfer, and finds the same objects in the cache.  The W potential's
     cycle is rebuilt (its matrix depends on eps) from the level's
-    restrictions, each the CSR of its transfer's transpose."""
+    transfers."""
     r = level_reuse
     assert set(solvers._SADDLE_OPERATORS) <= set(r["built"])
     assert r["built_again"] == []
@@ -326,9 +326,7 @@ def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
     w_cycles = [c for c in r["cycles"] if c.shape[0] == w_dim]
     assert len(w_cycles) == 3  # one per saddle solve
     first, second = w_cycles[:2]
-    assert all(a is b for a, b in zip(first.restrictions, second.restrictions, strict=True))
-    for P, R in zip(first.transfers, first.restrictions, strict=True):
-        assert _same_csr(R, P.T.tocsr())
+    assert all(a is b for a, b in zip(first.transfers, second.transfers, strict=True))
 
 
 def test_a_shared_level_solves_as_a_fresh_one(level_reuse):
