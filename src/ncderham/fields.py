@@ -1,7 +1,6 @@
 """Closed-form data for the two convergence experiments, built as products
-of 1-D factors, with a finite-difference oracle that cross-checks every
-provided derivative, and per-axis tables of quadrature points on which
-the factors are evaluated once."""
+of 1-D factors, and per-axis tables of quadrature points on which the
+factors are evaluated once."""
 
 from dataclasses import dataclass
 from functools import reduce
@@ -112,10 +111,17 @@ class QuadraturePoints:
         self.memo = {}  # (axis, factor) -> {order: values on coords[axis]}
 
     def take(self, tids):
-        """The points of tets ``tids``, tet-major, as a (T * P, 3) PointSet."""
+        """The points of tets ``tids``, tet-major, as a (T * P, 3) PointSet.
+
+        Each axis is gathered into a contiguous row of a (3, T * P) array,
+        whose transpose is the PointSet: one column per axis, no strided
+        writes."""
         keys = [k[tids] for k in self.keys]
-        X = np.stack([c[k].reshape(-1) for c, k in zip(self.coords, keys)], axis=1)
-        X = X.view(PointSet)
+        columns = np.empty((3, tids.size, self.coords[0].shape[1]))
+        for a, (c, k) in enumerate(zip(self.coords, keys)):
+            # keys are in range; "clip" writes straight into ``out``
+            np.take(c, k, axis=0, out=columns[a], mode="clip")
+        X = columns.reshape(3, -1).T.view(PointSet)
         X.table, X.keys = self, keys
         return X
 
@@ -183,13 +189,13 @@ def product_field(tag, factors):
 
     def hessian(X):
         table = _table(factors, X, {0, 1, 2})
-        # entries are written contiguously and transposed in one copy,
-        # which is cheaper than nine strided writes into (M, 3, 3)
+        # entries are written contiguously and returned as an (M, 3, 3)
+        # view, which is cheaper than nine strided writes or a transposing copy
         H = np.empty((3, 3, X.shape[0]))
         for a in range(3):
             for b in range(a, 3):
                 H[a, b] = H[b, a] = _term(table, _index(a, b))
-        return np.ascontiguousarray(np.moveaxis(H, 2, 0))
+        return np.moveaxis(H, 2, 0)
 
     def laplacian(X):
         return _laplacian(_table(factors, X, {0, 2}))
@@ -258,100 +264,3 @@ def layer_case_fields():
 
     f = AnalyticField("f_layer", 1, source)
     return {"u0": u0, "phi0": gradient_field(u0), "f": f}
-
-
-def _sample_points(npoints, rng, margin=0.05):
-    return margin + (1 - 2 * margin) * rng.random((npoints, 3))
-
-
-def _fd_gradient(fn, X, step):
-    out = np.empty((X.shape[0], 3) + np.asarray(fn(X[:1])).shape[1:])
-    for k in range(3):
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, k] += step
-        Xm[:, k] -= step
-        out[:, k] = (np.asarray(fn(Xp)) - np.asarray(fn(Xm))) / (2 * step)
-    return out
-
-
-def _fd_laplacian(fn, X, step):
-    center = -6.0 * np.asarray(fn(X))
-    for k in range(3):
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, k] += step
-        Xm[:, k] -= step
-        center = center + np.asarray(fn(Xp)) + np.asarray(fn(Xm))
-    return center / step**2
-
-
-def fd_validate(field, npoints=50, seed=0, step=1e-4, rtol=1e-6):
-    """Cross-check every provided derivative against central differences.
-
-    Deviations are measured relative to the sampled magnitude of the exact
-    quantity.  The nested bi-Laplacian check uses a wider step and a
-    looser 1e-5 threshold (two stacked second-difference stencils).  A
-    stencil with weights w applied to f carries a roundoff of about
-    eps_machine * ||w||_1 * max|f| even on exact data, so the scale is
-    floored where that roundoff reaches the threshold: a derivative that
-    vanishes is checked to the stencil's roundoff level.
-    """
-    rng = np.random.default_rng(seed)
-    X = _sample_points(npoints, rng)
-    checks = {}
-
-    def record(name, fd, exact, tol, f, stencil_l1):
-        roundoff = np.finfo(float).eps * stencil_l1 * np.abs(f).max()
-        scale = max(np.abs(exact).max(), roundoff / tol, np.finfo(float).tiny)
-        dev = float(np.abs(fd - exact).max() / scale)
-        checks[name] = {"max_rel_dev": dev, "tol": tol, "passed": dev <= tol}
-
-    wide = 1e-3
-    # l1 norms of the central-difference and 7-point Laplacian stencils
-    diff_w, lap_w = 1 / step, 12 / wide**2
-    if field.arity == 1:
-        u = field.value(X)
-        if field.gradient is not None:
-            record("gradient", _fd_gradient(field.value, X, step), field.gradient(X),
-                   rtol, u, diff_w)
-        if field.hessian is not None and field.gradient is not None:
-            fd = _fd_gradient(field.gradient, X, step)
-            record("hessian", np.swapaxes(fd, 1, 2), field.hessian(X), rtol,
-                   field.gradient(X), diff_w)
-        if field.laplacian is not None:
-            record("laplacian", _fd_laplacian(field.value, X, wide),
-                   field.laplacian(X), 1e-5, u, lap_w)
-        if field.bilaplacian is not None:
-            fd = _fd_laplacian(lambda Y: _fd_laplacian(field.value, Y, wide), X, wide)
-            record("bilaplacian", fd, field.bilaplacian(X), 1e-5, u, lap_w**2)
-    else:
-        if field.jacobian is not None:
-            fd = _fd_gradient(field.value, X, step)  # fd[:, b, a] = d v_a / d x_b
-            record("jacobian", np.swapaxes(fd, 1, 2), field.jacobian(X), rtol,
-                   field.value(X), diff_w)
-
-    passed = all(c["passed"] for c in checks.values())
-    return {"tag": field.tag, "passed": passed, "checks": checks}
-
-
-SOURCE_ORACLE_TOL = 1e-5  # what fd_source_residual of a correct source stays below
-
-
-def fd_source_residual(u_field, f_field, eps, npoints=50, seed=0, step=1e-3):
-    """Max relative deviation of f from the nested finite-difference
-    eps^2 * Lap(Lap u) - Lap u, over random interior points.
-
-    As in ``fd_validate``, the scale is floored where the stencils'
-    roundoff on exact data reaches ``SOURCE_ORACLE_TOL``, so a source that
-    vanishes is checked to that roundoff level.
-    """
-    rng = np.random.default_rng(seed)
-    X = _sample_points(npoints, rng)
-    lap = _fd_laplacian(u_field.value, X, step)
-    bilap = _fd_laplacian(lambda Y: _fd_laplacian(u_field.value, Y, step), X, step)
-    fd = eps**2 * bilap - lap
-    exact = f_field.value(X)
-    lap_w = 12 / step**2  # l1 norm of the 7-point Laplacian stencil
-    stencil_l1 = eps**2 * lap_w**2 + lap_w
-    roundoff = np.finfo(float).eps * stencil_l1 * np.abs(u_field.value(X)).max()
-    scale = max(np.abs(exact).max(), roundoff / SOURCE_ORACLE_TOL, np.finfo(float).tiny)
-    return float(np.abs(fd - exact).max() / scale)

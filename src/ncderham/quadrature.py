@@ -9,7 +9,6 @@ polynomials up to the advertised degree.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -82,17 +81,3 @@ def get_rule(kind, degree):
     pts.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(kind, pts, w, deg)
-
-
-def barycentric_monomial_mean(alpha):
-    """Exact mean value of prod(lambda_i**alpha_i) over the entity.
-
-    Uses the closed form  d! * prod(alpha_i!) / (|alpha| + d)!  for a
-    d-simplex, where the number of barycentric coordinates is d + 1.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    d = len(alpha) - 1
-    num = factorial(d)
-    for a in alpha:
-        num *= factorial(a)
-    return num / factorial(sum(alpha) + d)

@@ -6,10 +6,8 @@ piecewise-constant unknown.  Every production run solves it by an exact
 reduction through the discrete complex — one SPD solve for the scalar
 potential of the curl-free vector unknown and one consistent curl-curl
 solve for the flux — whose result is certified against the residual of
-the full block system.  A monolithic sparse LU (symmetric diagonal
-equilibration and iterative refinement), ``solve_saddle_lu``, remains as
-the tests' small-mesh oracle.  Both stay robust as the perturbation
-parameter approaches zero.
+the full block system.  It stays robust as the perturbation parameter
+approaches zero.
 """
 
 import math
@@ -17,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly as asm
@@ -265,16 +262,6 @@ def _lanczos_max(A, inv_diag):
     return float(np.linalg.eigvalsh(T)[-1])
 
 
-def _equilibrate(K):
-    """Symmetric diagonal scaling by inverse square roots of row maxima."""
-    absK = abs(K)
-    rowmax = np.asarray(absK.max(axis=1).todense()).ravel()
-    rowmax[rowmax == 0] = 1.0
-    s = 1.0 / np.sqrt(rowmax)
-    S = sp.diags(s)
-    return (S @ K @ S).tocsc(), s
-
-
 def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     """Solve the symmetric indefinite block system
 
@@ -385,66 +372,6 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
         "krylov": krylov,
     }
     return phi, lam, p, 0.0, info
-
-
-def solve_saddle_lu(A, C, D, cell_measures, rhs_phi, config=None):
-    """The block system of ``solve_saddle``, with e = ``cell_measures``,
-    factored whole: sparse LU with symmetric equilibration and up to three
-    steps of iterative refinement.  Its fill grows prohibitively on larger
-    3D meshes, so it serves only as the tests' small-mesh oracle.  Returns
-    the same tuple, with ``info["mode"] == "direct"``.
-    """
-    config = config or SolverConfig()
-    nphi, nrt = C.shape
-    nq = D.shape[0]
-    e = sp.csr_matrix(cell_measures.reshape(-1, 1))
-    K = sp.bmat(
-        [
-            [A, None, C, None],
-            [None, None, -D, e],
-            [C.T, -D.T, None, None],
-            [None, e.T, None, None],
-        ],
-        format="csr",
-    )
-    b = np.zeros(K.shape[0])
-    b[:nphi] = rhs_phi
-
-    Ks, s = _equilibrate(K)
-    t0 = time.perf_counter()
-    try:
-        lu = spla.splu(Ks.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SolverFailure(f"saddle factorization failed: {exc}") from exc
-    factor_seconds = time.perf_counter() - t0
-
-    x = s * lu.solve(s * b)
-    bnorm = np.linalg.norm(b)
-    residuals = []
-    for refinements in range(4):
-        r = b - K @ x
-        res = float(np.linalg.norm(r) / (1.0 + bnorm))
-        residuals.append(res)
-        if res <= config.saddle_tol:
-            break
-        if refinements == 3:
-            raise SolverFailure(
-                f"saddle refinement stalled at residual {res:.3e}", residuals
-            )
-        x = x + s * lu.solve(s * r)
-    info = {
-        "mode": "direct",
-        "factor_seconds": factor_seconds,
-        "residuals": residuals,
-        "fill_nnz": int(lu.nnz),
-        "dim": K.shape[0],
-        "krylov": [],
-    }
-    phi = x[:nphi]
-    lam = x[nphi : nphi + nq]
-    p = x[nphi + nq : nphi + nq + nrt]
-    nu = float(x[-1])
-    return phi, lam, p, nu, info
 
 
 def _sorted(M):

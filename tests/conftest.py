@@ -2,6 +2,7 @@ import pytest
 
 from ncderham import solvers
 from ncderham.assembly import Q, q_weights
+from oracles import solve_saddle_lu
 
 
 @pytest.fixture
@@ -12,6 +13,6 @@ def lu_saddle(monkeypatch):
 
     def solve(A, C, D, rhs_phi, config, dofmaps, forms=None):
         vols = q_weights(dofmaps[Q].mesh)
-        return solvers.solve_saddle_lu(A, C, D, vols, rhs_phi, config)
+        return solve_saddle_lu(A, C, D, vols, rhs_phi, config)
 
     monkeypatch.setattr(solvers, "solve_saddle", solve)

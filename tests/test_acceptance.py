@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from ncderham.cli import StudyConfig, run_study
-from ncderham.fields import SOURCE_ORACLE_TOL, fd_source_residual, smooth_case_fields
+from ncderham.fields import smooth_case_fields
 from ncderham.mesh import build_unit_cube_mesh
-from ncderham.quadrature import EDGE, TET, TRIANGLE, barycentric_monomial_mean, get_rule
+from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
 from ncderham.solvers import SolverConfig, build_spaces, decoupled_solve
 from ncderham.verify import (
     check_commuting,
@@ -28,6 +28,7 @@ from ncderham.verify import (
     check_solution_identities,
     check_unisolvence,
 )
+from oracles import SOURCE_ORACLE_TOL, barycentric_monomial_mean, fd_source_residual
 
 EXTENDED = os.environ.get("NCDERHAM_EXTENDED") == "1"
 LEVELS = (4, 8, 16, 32) if EXTENDED else (4, 8, 16)

@@ -9,7 +9,8 @@ from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.fields import AnalyticField, smooth_case_fields
 from ncderham.interpolate import FeFunction, canonical_interpolate
 from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh, mesh_geometry
-from ncderham.quadrature import TET, barycentric_monomial_mean, get_rule
+from ncderham.quadrature import TET, get_rule
+from oracles import barycentric_monomial_mean
 from test_fields import _jittered_cube
 
 

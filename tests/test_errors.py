@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.errors import (
     CSV_HEADER,
     ConvergenceReport,
+    ErrorCapability,
     StudyRow,
     compute_error,
     convergence_rates,
@@ -17,6 +19,7 @@ from ncderham.errors import (
 from ncderham.fields import AnalyticField, layer_case_fields, smooth_case_fields
 from ncderham.interpolate import FeFunction, canonical_interpolate
 from ncderham.mesh import build_unit_cube_mesh
+from test_fields import _jittered_cube
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,40 @@ def test_err_phi_triangle_inequality(mesh2, maps2):
     assert combo0 >= l2p - 1e-14
 
 
+# name -> (mesh, error quadrature degree); the jittered mesh evaluates tet
+# by tet, so it takes a smaller rule: the chunk sums do not depend on it
+MULTI_CHUNK_MESHES = {
+    "kuhn6": (lambda: build_unit_cube_mesh(6), 8),  # 1,296 tets: three chunks
+    "jittered5": (lambda: _jittered_cube(5), 4),  # 750 tets: 512 + 238
+}
+
+
+@pytest.fixture(scope="module", ids="-".join, params=[
+    (m, c) for m in MULTI_CHUNK_MESHES for c in ("smooth", "layer")])
+def separate_phi_norms(request):
+    """A random Phi function on a mesh of more than one 512-tet chunk, its
+    exact field, the rule degree, and the three parts of err_phi, each from
+    its own call."""
+    mesh_name, case = request.param
+    build, degree = MULTI_CHUNK_MESHES[mesh_name]
+    pmap = asm.build_dof_map(PHI, build())
+    fe = FeFunction(pmap, np.random.default_rng(13).standard_normal(pmap.dim))
+    # phi = grad u does not depend on eps
+    exact = smooth_case_fields(1.0)["phi"] if case == "smooth" else layer_case_fields()["phi0"]
+    parts = [compute_error(kind, fe, exact, degree)
+             for kind in ("broken_h1semi_vector", "l2_vs_ind", "l2_vector")]
+    return fe, exact, degree, parts
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-4])
+def test_err_phi_one_pass_matches_separate_norms(separate_phi_norms, eps):
+    """err_phi and err_phi_plain measure both parts in one chunk loop; each
+    part keeps the chunk-ordered sum of its own compute_error call."""
+    fe, exact, degree, (h1, l2, l2p) = separate_phi_norms
+    assert err_phi(fe, exact, eps, degree) == math.sqrt((eps * h1) ** 2 + l2**2)
+    assert err_phi_plain(fe, exact, eps, degree) == math.sqrt((eps * h1) ** 2 + l2p**2)
+
+
 def test_l2_vs_ind_is_l2_of_the_nd_interpolant(mesh2, maps2):
     """The edge-interpolated L2 error is the plain L2 error of the ND
     companion, bit for bit."""
@@ -169,9 +206,15 @@ def test_report_writers(tmp_path):
 def test_missing_derivative_raises(mesh2, maps2):
     bare = AnalyticField("bare", 1, lambda X: np.zeros(X.shape[0]))
     fe = FeFunction(maps2[P2], np.zeros(maps2[P2].dim))
-    from ncderham.errors import ErrorCapability
-
     with pytest.raises(ErrorCapability):
         compute_error("h1semi_scalar", fe, bare)
     with pytest.raises(ErrorCapability):
         compute_error("nonsense", fe, bare)
+    # err_phi's one pass needs both parts' data
+    phi_fe = FeFunction(maps2[PHI], np.zeros(maps2[PHI].dim))
+    phi = smooth_case_fields(1.0)["phi"]
+    for missing in ("jacobian", "value"):
+        bad = dataclasses.replace(phi, **{missing: None})
+        for combined in (err_phi, err_phi_plain):
+            with pytest.raises(ErrorCapability, match=missing):
+                combined(phi_fe, bad, 1.0)

@@ -8,9 +8,6 @@ from ncderham import fields
 from ncderham.errors import compute_error
 from ncderham.fields import (
     AnalyticField,
-    SOURCE_ORACLE_TOL,
-    fd_source_residual,
-    fd_validate,
     layer_case_fields,
     smooth_case_fields,
 )
@@ -18,6 +15,7 @@ from ncderham.interpolate import FeFunction
 from ncderham.mesh import build_mesh_from_tets, build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import TET, get_rule
 from ncderham.verify import _bubble_compatible_fields, _monomial
+from oracles import SOURCE_ORACLE_TOL, fd_source_residual, fd_validate
 
 
 def test_smooth_case_point_values():

@@ -9,9 +9,9 @@ from ncderham.quadrature import (
     TRIANGLE,
     QuadratureCapabilityError,
     _gauss_jacobi_01,
-    barycentric_monomial_mean,
     get_rule,
 )
+from oracles import barycentric_monomial_mean
 
 
 def _monomials(nbary, degree):

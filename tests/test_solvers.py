@@ -11,6 +11,7 @@ from ncderham.fields import layer_case_fields, smooth_case_fields
 from ncderham.interpolate import diff_operator_matrix
 from ncderham.errors import compute_error, err_phi
 from ncderham.mesh import build_unit_cube_mesh
+from oracles import solve_saddle_lu
 from test_fields import _jittered_cube
 from ncderham.solvers import (
     SolverConfig,
@@ -19,7 +20,6 @@ from ncderham.solvers import (
     build_spaces,
     decoupled_solve,
     solve_saddle,
-    solve_saddle_lu,
     solve_spd,
 )
 
