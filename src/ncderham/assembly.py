@@ -90,8 +90,8 @@ def build_dof_map(space, mesh):
 
 @dataclass
 class AssembledForm:
-    """A sparse matrix of a bilinear form or of a ``diff_operator_matrix``
-    operator; callers read ``.matrix``."""
+    """The sparse matrix of a bilinear form (``assemble_bilinear``); callers
+    read ``.matrix``."""
 
     matrix: sp.csr_matrix
 

@@ -53,8 +53,6 @@ class StudyConfig:
     epsilons: tuple = (1e-4,)
     levels: tuple = (4, 8)
     quad_degree: int = 8
-    spd_tol: float = 1e-12
-    saddle_tol: float = 1e-10
     serial: bool = False
     out: str = None
     formats: tuple = ("csv", "markdown", "json")
@@ -89,7 +87,6 @@ class StudyConfig:
                 f"got {self.quad_degree}"
             )
         try:
-            SolverConfig(spd_tol=self.spd_tol, saddle_tol=self.saddle_tol)
             # verify runs solve at their own eps
             for eps in () if self.verify else self.epsilons:
                 SolverConfig(eps=eps)
@@ -131,12 +128,7 @@ def run_study(config, log=print):
                 mesh = build_unit_cube_mesh(n)
                 caches[n] = (mesh, build_spaces(mesh), {})
             mesh, dofmaps, forms = caches[n]
-            scfg = SolverConfig(
-                eps=eps,
-                method=method,
-                spd_tol=config.spd_tol,
-                saddle_tol=config.saddle_tol,
-            )
+            scfg = SolverConfig(eps=eps, method=method)
             t0 = time.perf_counter()
             try:
                 sol = decoupled_solve(f, mesh, scfg, dofmaps, forms)

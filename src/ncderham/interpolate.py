@@ -17,8 +17,7 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .assembly import (
-    ND, P2, PHI, Q, RT, W, AssembledForm, AssemblyError, DofMap, _accumulate,
-    gather_coefficients,
+    ND, PHI, Q, RT, W, AssemblyError, DofMap, _accumulate, gather_coefficients,
 )
 from .mesh import _find_rows, mesh_geometry
 
@@ -217,15 +216,11 @@ def _circulation_rows(mesh, face_dofs, edge_dofs):
 
 
 def diff_operator_matrix(kind, dofmaps):
-    """Exact sparse operator between spaces.
+    """Exact sparse operator between spaces, as a CSR matrix.
 
-    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt), ``div`` (rt -> q), and
-    their blocks on the Nedelec space ND: ``grad_nd = grad[:nd, :p2]``
-    (p2 -> nd) and ``curl_nd = curl[:, :nd]`` (nd -> rt).  ND numbers the
-    edge DoFs of Phi, which come first, and P2 the vertex and edge DoFs of
-    W, which come first too (``build_dof_map``).
+    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt) and ``div`` (rt -> q).
     """
-    if kind in ("grad", "grad_nd"):
+    if kind == "grad":
         _require(dofmaps, W, PHI)
         wmap, pmap = dofmaps[W], dofmaps[PHI]
         mesh = wmap.mesh
@@ -236,23 +231,15 @@ def diff_operator_matrix(kind, dofmaps):
         rows.append(pmap.face_dofs[ids])
         cols.append(wmap.face_dofs[ids])
         vals.append(np.ones(ids.size))
-        mat = _triplets(rows, cols, vals, (pmap.dim, wmap.dim))
-        if kind == "grad_nd":
-            _require(dofmaps, W, PHI, P2, ND)
-            mat = mat[: dofmaps[ND].dim, : dofmaps[P2].dim]
-        return AssembledForm(mat)
+        return _triplets(rows, cols, vals, (pmap.dim, wmap.dim))
 
-    if kind in ("curl", "curl_nd"):
+    if kind == "curl":
         _require(dofmaps, PHI, RT)
         pmap, rmap = dofmaps[PHI], dofmaps[RT]
         rows, cols, vals = _circulation_rows(
             pmap.mesh, rmap.face_dofs, pmap.edge_dofs
         )
-        mat = _triplets(rows, cols, vals, (rmap.dim, pmap.dim))
-        if kind == "curl_nd":
-            _require(dofmaps, PHI, RT, ND)
-            mat = mat[:, : dofmaps[ND].dim]
-        return AssembledForm(mat)
+        return _triplets(rows, cols, vals, (rmap.dim, pmap.dim))
 
     if kind == "div":
         _require(dofmaps, RT, Q)
@@ -269,8 +256,7 @@ def diff_operator_matrix(kind, dofmaps):
             vals.append(
                 (geom.face_outward_sign[:, lf] / geom.volume)[keep]
             )
-        mat = _triplets(rows, cols, vals, (qmap.dim, rmap.dim))
-        return AssembledForm(mat)
+        return _triplets(rows, cols, vals, (qmap.dim, rmap.dim))
 
     raise AssemblyError(f"unknown operator kind {kind!r}")
 

@@ -287,16 +287,17 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     where ``_takes_multigrid``, the potential's V-cycle transfers -- is read
     from ``dofmaps`` (one level's ``build_spaces``) through the level cache
     ``forms``, as ``decoupled_solve`` does, so the solves of a level form
-    them once.  Only the potential matrix ``G^T A G`` depends on eps.
+    them once.  Only the potential matrix ``G^T A G`` depends on eps.  The
+    refinement measures at most four residuals, after three corrections.
     """
     t0 = time.perf_counter()
     forms = forms if forms is not None else {}
-    G, Gt = (_level_matrix(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
+    G, Gt = (_level(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
     Ared = _symmetric_part(_sorted(Gt @ (A @ G)))
     # the other operators after Ared: on a level's first solve the products
     # that form Z then do not overlap those of Ared (the n=32 peak)
     Knd, Gnd, Gnd_t, Z, L = (
-        _level_matrix(kind, dofmaps, forms)
+        _level(kind, dofmaps, forms)
         for kind in ("curl_nd", "grad_nd", "grad_nd_t", "flux_curl_curl",
                      "projection_laplacian")
     )
@@ -320,9 +321,15 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
         residuals.append(res)
         if res <= config.saddle_tol:
             break
+        if sweep == 4:
+            raise SolverFailure(
+                f"reduced saddle refinement stalled at residual {res:.3e}"
+                + _maxiter_note(krylov),
+                residuals,
+            )
         potential, projection = {}, {}
         if M is None and multigrid:
-            M = VCycle(Ared, _cycle_transfers(W, dofmaps, forms))
+            M = VCycle(Ared, _level("w_transfers", dofmaps, forms))
         w = solve_spd(Ared, Gt @ r_phi, config, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
@@ -340,12 +347,6 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
             krylov.append({"stage": stage, "sweep": sweep, **record})
         phi = phi + dphi
         p = p + Knd @ y
-    else:
-        raise SolverFailure(
-            f"reduced saddle refinement stalled at residual {residuals[-1]:.3e}"
-            + _maxiter_note(krylov),
-            residuals,
-        )
 
     # certify against the full block system, not just the phi rows: with
     # lam = 0 and nu = 0 the other rows' residuals are D p and C^T phi
@@ -402,36 +403,56 @@ def build_spaces(mesh):
     return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
 
 
-# eps-free operators of the saddle stage, derived from the level's forms
-# and operators: kind -> its matrix from a lookup of other kinds
-_SADDLE_OPERATORS = {
-    "grad_t": lambda m: m("grad").T.tocsr(),
-    "grad_nd_t": lambda m: m("grad_nd").T.tocsr(),
+# eps-free objects of a level besides its forms and the complex's operators:
+# kind -> its build from a lookup ``get`` of other kinds and the level's maps
+_LEVEL_KINDS = {
+    "grad_t": lambda get, maps: get("grad").T.tocsr(),
+    # the blocks on the Nedelec space ND: ND numbers the edge DoFs of Phi,
+    # which come first, and P2 the vertex and edge DoFs of W, which come
+    # first too (build_dof_map)
+    "grad_nd": lambda get, maps: get("grad")[: maps[ND].dim, : maps[P2].dim],
+    "curl_nd": lambda get, maps: get("curl")[:, : maps[ND].dim],
+    "grad_nd_t": lambda get, maps: get("grad_nd").T.tocsr(),
     # the flux curl-curl K_nd^T M_rt K_nd; K_nd^T serves only here, so the
     # level does not keep it (28 MB at n=32)
-    "flux_curl_curl": lambda m: _symmetric_part(
-        _sorted(m("curl_nd").T.tocsr() @ (m("rt_mass") @ m("curl_nd")))
+    "flux_curl_curl": lambda get, maps: _symmetric_part(
+        _sorted(get("curl_nd").T.tocsr() @ (get("rt_mass") @ get("curl_nd")))
     ),
     # the graph Laplacian G_nd^T G_nd of the gradient range
-    "projection_laplacian": lambda m: _sorted(m("grad_nd_t") @ m("grad_nd")),
+    "projection_laplacian": lambda get, maps: _sorted(get("grad_nd_t") @ get("grad_nd")),
+    # the V-cycles' transfers on a Kuhn cube, finest first: from the P1 vertex
+    # space of the same mesh (an auxiliary space that carries the W
+    # potential's slowest modes and is the exact P1 subspace of P2), then one
+    # chain of P1 prolongations down the Kuhn hierarchy that both cycles share
+    "p1_prolongations": lambda get, maps: tuple(
+        p1_kuhn_prolongation(n) for n in _kuhn_levels(maps[W].mesh.kuhn_n)[:-1]
+    ),
+    "w_transfers": lambda get, maps: (
+        (vertex_interpolant(maps[W]),) + get("p1_prolongations")),
+    "p2_transfers": lambda get, maps: (
+        (vertex_interpolant(maps[P2]),) + get("p1_prolongations")),
+    # the P2 Poisson matrix depends on neither eps nor the method, so both
+    # Poisson stages of every solve on the level share one cycle
+    "p2_cycle": lambda get, maps: VCycle(get("poisson_p2"), get("p2_transfers")),
 }
 
 
-def _level_matrix(kind, dofmaps, cache):
-    """Matrix of a bilinear form, an exact operator or one of the saddle
-    stage's ``_SADDLE_OPERATORS`` on the level of ``dofmaps`` (its
-    ``build_spaces``), built once per ``cache`` dict (keyed by kind)."""
+def _level(kind, dofmaps, cache):
+    """A form, an operator of the complex or one of the ``_LEVEL_KINDS`` on
+    the level of ``dofmaps`` (its ``build_spaces``), built once per ``cache``
+    dict and kept under ``kind``; a form is kept, or may come pre-filled, as
+    ``assemble_bilinear`` returns it."""
     if kind not in cache:
         if kind in asm.FORM_KINDS:
             cache[kind] = asm.assemble_bilinear(kind, dofmaps[P2].mesh, dofmaps)
-        elif kind in _SADDLE_OPERATORS:
-            matrix = _SADDLE_OPERATORS[kind](
-                lambda other: _level_matrix(other, dofmaps, cache)
+        elif kind in _LEVEL_KINDS:
+            cache[kind] = _LEVEL_KINDS[kind](
+                lambda other: _level(other, dofmaps, cache), dofmaps
             )
-            cache[kind] = asm.AssembledForm(matrix)
         else:
             cache[kind] = diff_operator_matrix(kind, dofmaps)
-    return cache[kind].matrix
+    found = cache[kind]
+    return found.matrix if isinstance(found, asm.AssembledForm) else found
 
 
 def _kuhn_levels(n):
@@ -451,37 +472,6 @@ def _takes_multigrid(mesh):
     """
     n = mesh.kuhn_n
     return n is not None and n >= 16
-
-
-def _cycle_transfers(space, dofmaps, cache):
-    """Transfers of the V-cycle on ``space`` (W or P2) on a Kuhn cube,
-    finest first; built once per level ``cache``.
-
-    The first is an auxiliary space, not a nested one: the P1 vertex space
-    of the same mesh (``vertex_interpolant``), which carries the W
-    potential's slowest modes and is the exact P1 subspace of P2.  The P1
-    prolongations down the Kuhn hierarchy follow, one chain shared by both
-    spaces.
-    """
-    if "p1_prolongations" not in cache:
-        cache["p1_prolongations"] = tuple(
-            p1_kuhn_prolongation(n)
-            for n in _kuhn_levels(dofmaps[space].mesh.kuhn_n)[:-1]
-        )
-    key = f"{space}_transfers"
-    if key not in cache:
-        cache[key] = (vertex_interpolant(dofmaps[space]),) + cache["p1_prolongations"]
-    return cache[key]
-
-
-def _p2_cycle(dofmaps, cache):
-    """V-cycle of the P2 Poisson matrix, built once per level ``cache``: the
-    matrix depends on neither eps nor the method, so both Poisson stages of
-    every solve on the level share one cycle."""
-    if "p2_cycle" not in cache:
-        S = _level_matrix("poisson_p2", dofmaps, cache)
-        cache["p2_cycle"] = VCycle(S, _cycle_transfers(P2, dofmaps, cache))
-    return cache["p2_cycle"]
 
 
 def _stage(label, t0, solve, *args, **kwargs):
@@ -509,24 +499,22 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     dofmaps = dofmaps or build_spaces(mesh)
     forms = forms if forms is not None else {}
 
-    S = _level_matrix("poisson_p2", dofmaps, forms)
+    S = _level("poisson_p2", dofmaps, forms)
     b_f = asm.assemble_load("f_vs_p2", mesh, dofmaps, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
-    S_cycle = _p2_cycle(dofmaps, forms) if _takes_multigrid(mesh) else None
+    S_cycle = _level("p2_cycle", dofmaps, forms) if _takes_multigrid(mesh) else None
     w, t_w = _stage("stage 1 (poisson w)", t0, solve_spd, S, b_f, config,
                     stats=poisson_w, M=S_cycle)
     w_h = FeFunction(dofmaps[P2], w)
 
     interp = config.method == "interp"
-    stiff = _level_matrix("phi_stiffness", dofmaps, forms)
-    mass = _level_matrix("ind_mass" if interp else "phi_mass", dofmaps, forms)
+    stiff = _level("phi_stiffness", dofmaps, forms)
+    mass = _level("ind_mass" if interp else "phi_mass", dofmaps, forms)
     # copied so that it holds only its own entries (see _symmetric_part)
     A = ((config.eps**2) * stiff + mass).copy()
-    C = _level_matrix(
-        "curl_coupling" if interp else "curl_coupling_plain", dofmaps, forms
-    )
-    D = _level_matrix("div_coupling", dofmaps, forms)
+    C = _level("curl_coupling" if interp else "curl_coupling_plain", dofmaps, forms)
+    D = _level("div_coupling", dofmaps, forms)
     rhs_phi = asm.assemble_load(
         "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
     )
@@ -566,31 +554,29 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
     return sol
 
 
-def solution_identity_norms(sol, dofmaps, forms=None):
+def solution_identity_norms(sol, dofmaps, forms):
     """L2-type norms of the algebraic identities the solution must satisfy.
 
     Returns absolute norms together with the data scale used by checks:
     with the interpolated method the multiplier vanishes, the flux is
     solenoidal, the edge interpolant of the vector unknown is the gradient
     of the scalar solve, and the vector unknown is curl-free.  ``forms`` is
-    the level cache of ``decoupled_solve``; without it every matrix is
-    built afresh.
+    the level cache of ``decoupled_solve``.
     """
     mesh = sol.w_h.dofmap.mesh
-    forms = forms if forms is not None else {}
     vols = asm.q_weights(mesh)
 
     lam_norm = float(np.sqrt(vols @ sol.lambda_h.coeffs**2))
-    divp = _level_matrix("div", dofmaps, forms) @ sol.p_h.coeffs
+    divp = _level("div", dofmaps, forms) @ sol.p_h.coeffs
     divp_norm = float(np.sqrt(vols @ divp**2))
 
-    curlphi = _level_matrix("curl", dofmaps, forms) @ sol.phi_h.coeffs
-    Mrt = _level_matrix("rt_mass", dofmaps, forms)
+    curlphi = _level("curl", dofmaps, forms) @ sol.phi_h.coeffs
+    Mrt = _level("rt_mass", dofmaps, forms)
     curl_norm = float(np.sqrt(curlphi @ (Mrt @ curlphi)))
 
-    grad_nd = _level_matrix("grad_nd", dofmaps, forms)
+    grad_nd = _level("grad_nd", dofmaps, forms)
     delta = nd_interpolant(sol.phi_h).coeffs - grad_nd @ sol.u_h.coeffs
-    Mnd = _level_matrix("ind_mass", dofmaps, forms)
+    Mnd = _level("ind_mass", dofmaps, forms)
     lifted = np.zeros(dofmaps[PHI].dim)
     lifted[: delta.size] = delta
     ind_grad_norm = float(np.sqrt(lifted @ (Mnd @ lifted)))
@@ -606,13 +592,11 @@ def solution_identity_norms(sol, dofmaps, forms=None):
     }
 
 
-def gradient_range_residual(phi, dofmaps, forms=None):
+def gradient_range_residual(phi, dofmaps, forms):
     """How far the Phi coefficients ``phi`` lie from the range of the W
     gradient: the least-squares residual ``||grad w - phi|| / (1 + ||phi||)``.
     ``forms`` is the level cache, as in ``solution_identity_norms``."""
-    forms = forms if forms is not None else {}
-    grad = _level_matrix("grad", dofmaps, forms)
-    grad_t = _level_matrix("grad_t", dofmaps, forms)
+    grad, grad_t = (_level(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
     gram = (grad_t @ grad).tocsc()
     w = spla.spsolve(gram, grad_t @ phi)
     return float(np.linalg.norm(grad @ w - phi) / (1.0 + np.linalg.norm(phi)))

@@ -20,6 +20,14 @@ from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
 from .solvers import build_spaces, gradient_range_residual, solution_identity_norms
 
+RANK_TOL = 1e-8  # singular values below RANK_TOL * the largest count as zero
+COMMUTING_TOL = 1e-10
+WEAK_CONTINUITY_TOL = 1e-10
+COND_LIMIT = 1e9  # largest condition number of an element's DoF matrix
+INFSUP_EPS = (1.0, 1e-3, 1e-6)  # the perturbation parameters of the inf-sup tier
+INFSUP_FLOOR = 1e-8  # an inf-sup constant at or below it counts as zero
+IDENTITY_RTOL = 1e-8  # of a solved system's identities, relative to its scale
+
 
 @dataclass
 class CheckResult:
@@ -89,7 +97,7 @@ def face_jump_means(fe):
     return (sides[0] - sides[1]) * areas.reshape((-1,) + (1,) * (sides[0].ndim - 1))
 
 
-def check_complex(mesh, report=None, rank_tol=1e-8):
+def check_complex(mesh, report=None):
     """Composition-zero, injectivity/rank and exactness counts (dense)."""
     report = report if report is not None else CertificationReport()
     dofmaps = build_spaces(mesh)
@@ -98,9 +106,7 @@ def check_complex(mesh, report=None, rank_tol=1e-8):
             "dense rank checks are limited to small meshes (n <= 2); "
             "use a coarser level"
         )
-    grad = diff_operator_matrix("grad", dofmaps).matrix
-    curl = diff_operator_matrix("curl", dofmaps).matrix
-    div = diff_operator_matrix("div", dofmaps).matrix
+    grad, curl, div = (diff_operator_matrix(k, dofmaps) for k in ("grad", "curl", "div"))
 
     cg = abs(curl @ grad).max() if grad.shape[1] else 0.0
     dc = abs(div @ curl).max() if curl.shape[1] else 0.0
@@ -113,7 +119,7 @@ def check_complex(mesh, report=None, rank_tol=1e-8):
         if min(mat.shape) == 0:
             return 0
         sv = np.linalg.svd(mat.toarray(), compute_uv=False)
-        return int(np.sum(sv > rank_tol * sv[0]))
+        return int(np.sum(sv > RANK_TOL * sv[0]))
 
     r_grad = rank(grad)
     report.add(
@@ -166,7 +172,7 @@ def _rel_dev(lhs, rhs):
     return float(np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0))
 
 
-def check_commuting(mesh, report=None, tol=1e-10):
+def check_commuting(mesh, report=None):
     """Per-element DoF identities for a basis of cubic test fields.
 
     grad route: the Phi DoFs of the gradient of the locally interpolated
@@ -176,6 +182,7 @@ def check_commuting(mesh, report=None, tol=1e-10):
     coincides with the canonical tangential interpolant.
     """
     report = report if report is not None else CertificationReport()
+    tol = COMMUTING_TOL
     geom = mesh_geometry(mesh)
     Cw = el.nodal_coefficients(el.W_NC, geom)
     Cphi = el.nodal_coefficients(el.PHI_NC, geom)
@@ -248,7 +255,7 @@ def _check_commuting_global(mesh, report, tol):
 
     iw = itp.canonical_interpolate(dofmaps[W], scalar)
     iphi_grad = itp.canonical_interpolate(dofmaps[PHI], grad_field)
-    G = itp.diff_operator_matrix("grad", dofmaps).matrix
+    G = itp.diff_operator_matrix("grad", dofmaps)
     dev = _rel_dev(G @ iw.coeffs, iphi_grad.coeffs)
     report.add(
         "commuting.grad_route_global", dev <= tol, dev, tol,
@@ -257,7 +264,7 @@ def _check_commuting_global(mesh, report, tol):
 
     iphi = itp.canonical_interpolate(dofmaps[PHI], vec)
     irt = itp.canonical_interpolate(dofmaps[RT], curl)
-    K = itp.diff_operator_matrix("curl", dofmaps).matrix
+    K = itp.diff_operator_matrix("curl", dofmaps)
     dev = _rel_dev(K @ iphi.coeffs, irt.coeffs)
     report.add(
         "commuting.curl_route_global", dev <= tol, dev, tol,
@@ -272,7 +279,7 @@ def _check_commuting_global(mesh, report, tol):
     )
 
 
-def check_weak_continuity(mesh, report=None, nsamples=20, seed=1234, tol=1e-10):
+def check_weak_continuity(mesh, report=None, nsamples=20, seed=1234):
     """Face means of jumps vanish for random members of the vector space."""
     report = report if report is not None else CertificationReport()
     dofmap = asm.build_dof_map(PHI, mesh)
@@ -284,13 +291,13 @@ def check_weak_continuity(mesh, report=None, nsamples=20, seed=1234, tol=1e-10):
         jumps = face_jump_means(fe)
         worst = max(worst, float(np.abs(jumps).max() / max(1.0, np.abs(c).max())))
     report.add(
-        "weak_continuity.face_jump_means", worst <= tol, worst, tol,
-        detail=f"{nsamples} random coefficient vectors",
+        "weak_continuity.face_jump_means", worst <= WEAK_CONTINUITY_TOL, worst,
+        WEAK_CONTINUITY_TOL, detail=f"{nsamples} random coefficient vectors",
     )
     return report
 
 
-def check_unisolvence(report=None, ntets=100, seed=4321, cond_limit=1e9):
+def check_unisolvence(report=None, ntets=100, seed=4321):
     """DoF matrices stay invertible on random shape-regular tets."""
     report = report if report is not None else CertificationReport()
     rng = np.random.default_rng(seed)
@@ -315,17 +322,17 @@ def check_unisolvence(report=None, ntets=100, seed=4321, cond_limit=1e9):
             worst[kind] = max(worst[kind], float(el.unisolvence_check(kind, geom)[0]))
     for kind, val in worst.items():
         report.add(
-            f"unisolvence.{kind}", np.isfinite(val) and val < cond_limit, val,
-            cond_limit, detail=f"max condition number over {ntets} random tets",
+            f"unisolvence.{kind}", np.isfinite(val) and val < COND_LIMIT, val,
+            COND_LIMIT, detail=f"max condition number over {ntets} random tets",
         )
     return report
 
 
-def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
+def check_infsup(mesh, report=None):
     """Dense smallest generalized singular value of the coupling form.
 
     There is no reference value; the testable claims are positivity and
-    mesh stability, reported for each listed perturbation parameter.
+    mesh stability, reported for each perturbation parameter in ``INFSUP_EPS``.
     """
     report = report if report is not None else CertificationReport()
     dofmaps = build_spaces(mesh)
@@ -336,13 +343,13 @@ def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
     Mrt = asm.assemble_bilinear("rt_mass", mesh, dofmaps).matrix.toarray()
     Ccoup = asm.assemble_bilinear("curl_coupling", mesh, dofmaps).matrix.toarray()
     vols = asm.q_weights(mesh)
-    Kop = diff_operator_matrix("curl", dofmaps).matrix.toarray()
-    Dop = diff_operator_matrix("div", dofmaps).matrix.toarray()
+    Kop = diff_operator_matrix("curl", dofmaps).toarray()
+    Dop = diff_operator_matrix("div", dofmaps).toarray()
     Kc = Kop.T @ Mrt @ Kop
     D = vols[:, None] * Dop  # (mu_k, div q_j) = |T_k| (div q_j)|_k
     Y = Mrt + Dop.T @ (vols[:, None] * Dop)
 
-    for eps in eps_list:
+    for eps in INFSUP_EPS:
         X = scipy.linalg.block_diag(
             eps**2 * S + Kc + Mnd, np.diag(vols)
         )
@@ -352,20 +359,20 @@ def check_infsup(mesh, eps_list=(1.0, 1e-3, 1e-6), report=None, floor=1e-8):
         evals = scipy.linalg.eigh(G, Y, eigvals_only=True)
         beta = float(np.sqrt(max(evals.min(), 0.0)))
         report.add(
-            f"infsup.beta_eps{eps:g}", beta > floor, beta, floor,
+            f"infsup.beta_eps{eps:g}", beta > INFSUP_FLOOR, beta, INFSUP_FLOOR,
             detail="smallest generalized singular value of the coupling form",
         )
     return report
 
 
-def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8, forms=None):
+def check_solution_identities(sol, dofmaps, report=None, forms=None):
     """Algebraic identities of a solved decoupled system.  ``forms`` is the
     level cache of ``decoupled_solve``; without it every matrix is built
     afresh."""
     report = report if report is not None else CertificationReport()
     forms = forms if forms is not None else {}
     norms = solution_identity_norms(sol, dofmaps, forms)
-    tol = rtol * norms["scale"]
+    tol = IDENTITY_RTOL * norms["scale"]
     prefix = f"identities.{sol.method}_eps{sol.eps:g}"
     checks = [
         ("lambda_zero", "lambda_l2"),
@@ -379,7 +386,7 @@ def check_solution_identities(sol, dofmaps, report=None, rtol=1e-8, forms=None):
     if sol.method == "interp":
         res = gradient_range_residual(sol.phi_h.coeffs, dofmaps, forms)
         report.add(
-            f"{prefix}.phi_in_grad_w", res <= rtol, res, rtol,
+            f"{prefix}.phi_in_grad_w", res <= IDENTITY_RTOL, res, IDENTITY_RTOL,
             detail="least-squares residual of grad w = phi",
         )
     return report

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,18 @@ def test_config_validation():
     StudyConfig(levels=(1, 2, 4), epsilons=(1e-6,)).validate()
 
 
+def test_config_surface_is_pinned():
+    """The settable fields of a study and of a solve.  A new knob is a
+    deliberate edit of this list."""
+    assert tuple(f.name for f in dataclasses.fields(StudyConfig)) == (
+        "test", "method", "epsilons", "levels", "quad_degree", "serial", "out",
+        "formats", "seed", "verify", "infsup", "verify_levels",
+    )
+    assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == (
+        "eps", "method", "spd_tol", "spd_maxiter", "saddle_tol",
+    )
+
+
 def test_cli_config_error_exit_code(tmp_path):
     assert main(["--levels", "3,5"]) == 2
     bad = tmp_path / "cfg.json"
@@ -48,7 +61,7 @@ def test_cli_config_error_exit_code(tmp_path):
         assert main(["--epsilon", eps]) == 2
     for fields in (
         {"spd_solver": "LU"}, {"load_degree": 13}, {"quad_degree": "8"},
-        {"epsilons": 1e-4}, {"spd_tol": 0}, {"saddle_tol": 2},
+        {"epsilons": 1e-4}, {"epsilons": [0.0]}, {"quad_degree": -1},
         {"verify": True, "verify_levels": [0]}, {"verify": True, "seed": "x"},
         {"epsilons": []}, {"formats": []},
     ):

@@ -20,7 +20,7 @@ from ncderham.interpolate import (
 )
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
-from ncderham.solvers import build_spaces
+from ncderham.solvers import _level, build_spaces
 from test_fields import _jittered_cube
 
 
@@ -117,20 +117,21 @@ def test_phi_reproduces_p1_field_on_interior_tets():
 
 
 def test_complex_products_vanish_exactly(maps2):
-    grad = diff_operator_matrix("grad", maps2).matrix
-    curl = diff_operator_matrix("curl", maps2).matrix
-    div = diff_operator_matrix("div", maps2).matrix
+    grad = diff_operator_matrix("grad", maps2)
+    curl = diff_operator_matrix("curl", maps2)
+    div = diff_operator_matrix("div", maps2)
     assert abs(curl @ grad).max() <= 1e-12
     assert abs(div @ curl).max() <= 1e-12
-    grad_nd = diff_operator_matrix("grad_nd", maps2).matrix
-    curl_nd = diff_operator_matrix("curl_nd", maps2).matrix
+    level = {}
+    grad_nd = _level("grad_nd", maps2, level)
+    curl_nd = _level("curl_nd", maps2, level)
     assert abs(curl_nd @ grad_nd).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["kuhn2", "kuhn3", "jittered2"])
 def test_nd_blocks_match_the_per_map_construction(name):
-    """grad_nd and curl_nd, blocks of grad and curl, equal bit for bit the
-    operators built from the ND and P2 maps' own DoF tables."""
+    """The level's grad_nd and curl_nd, blocks of grad and curl, equal bit
+    for bit the operators built from the ND and P2 maps' own DoF tables."""
     mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
     maps = build_spaces(mesh)
     nmap, pmap, rmap = maps[ND], maps[P2], maps[RT]
@@ -143,8 +144,9 @@ def test_nd_blocks_match_the_per_map_construction(name):
             *_circulation_rows(mesh, rmap.face_dofs, nmap.edge_dofs), (rmap.dim, nmap.dim)
         ),
     }
+    level = {}
     for kind, ref in references.items():
-        block = diff_operator_matrix(kind, maps).matrix
+        block = _level(kind, maps, level)
         assert block.shape == ref.shape, kind
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, attr), getattr(ref, attr)), (kind, attr)
@@ -188,8 +190,8 @@ def test_ind_matches_quadrature_edge_moments(mesh2, maps2):
 def test_curl_of_nd_interpolant_equals_curl(maps2):
     """The curl of a Phi function is that of its ND companion: no face
     enrichment enters it."""
-    curl_phi = diff_operator_matrix("curl", maps2).matrix
-    curl_nd = diff_operator_matrix("curl_nd", maps2).matrix
+    curl_phi = diff_operator_matrix("curl", maps2)
+    curl_nd = _level("curl_nd", maps2, {})
     assert curl_phi[:, maps2[ND].dim :].nnz == 0
     fe = FeFunction(maps2[PHI], np.random.default_rng(4).standard_normal(maps2[PHI].dim))
     diff = curl_nd @ nd_interpolant(fe).coeffs - curl_phi @ fe.coeffs
@@ -202,7 +204,7 @@ def test_grad_matrix_matches_quadrature(mesh2, maps2):
     rng = np.random.default_rng(11)
     c = rng.standard_normal(maps2[W].dim)
     w_fe = FeFunction(maps2[W], c)
-    grad = diff_operator_matrix("grad", maps2).matrix
+    grad = diff_operator_matrix("grad", maps2)
     expected = grad @ c
 
     geom = mesh_geometry(mesh2)

@@ -134,7 +134,7 @@ def test_saddle_manufactured_curl_free(setup2):
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rng = np.random.default_rng(42)
     wstar = rng.standard_normal(maps[W].dim)
-    grad = diff_operator_matrix("grad", maps).matrix
+    grad = diff_operator_matrix("grad", maps)
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
     phi, lam, p, nu, info = solve_saddle(A, C, D, rhs_phi, cfg, maps)
@@ -187,8 +187,8 @@ def test_decoupled_identities_nointerp(setup2):
 def test_reduced_mode_matches_direct(setup2):
     """The complex-based reduction reproduces the monolithic factorization."""
     mesh, maps = setup2
-    grad = diff_operator_matrix("grad", maps).matrix
-    curl_nd = diff_operator_matrix("curl_nd", maps).matrix
+    grad = diff_operator_matrix("grad", maps)
+    curl_nd = solvers._level("curl_nd", maps, {})
     rng = np.random.default_rng(7)
     for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
         A = vector_form(mesh, maps, eps, mass)
@@ -238,7 +238,7 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
     ``.T`` products did."""
     mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
     maps, forms = build_spaces(mesh), {}
-    G, Knd, Gnd, Mrt = (solvers._level_matrix(k, maps, forms)
+    G, Knd, Gnd, Mrt = (solvers._level(k, maps, forms)
                         for k in ("grad", "curl_nd", "grad_nd", "rt_mass"))
     A = vector_form(mesh, maps, 0.3).copy()
     reference = {
@@ -246,10 +246,10 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
         "projection_laplacian": (Gnd.T @ Gnd).tocsr(),
     }
     for kind, ref in reference.items():
-        assert _same_csr(solvers._level_matrix(kind, maps, forms), ref), kind
+        assert _same_csr(solvers._level(kind, maps, forms), ref), kind
     rng = np.random.default_rng(5)
     for kind, op in (("grad_t", G), ("grad_nd_t", Gnd)):
-        Ot = solvers._level_matrix(kind, maps, forms)
+        Ot = solvers._level(kind, maps, forms)
         assert _same_csr(Ot, op.T.tocsr()), kind
         v = rng.standard_normal(op.shape[0])
         assert np.array_equal(Ot @ v, op.T @ v), kind
@@ -267,14 +267,14 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
     solve_saddle(A, C, D, rhs, SolverConfig(eps=0.3), maps, forms)
     potential, projection = matrices[:2]
     assert _same_csr(potential, solvers._symmetric_part((G.T @ (A @ G)).tocsr()))
-    assert projection is solvers._level_matrix("projection_laplacian", maps, forms)
+    assert projection is solvers._level("projection_laplacian", maps, forms)
 
 
 @pytest.fixture(scope="module")
 def level_reuse():
     """Smooth n=4 solves at eps=1, then eps=1e-4, on one level cache, with
-    both V-cycles forced on and every build of a form, an operator, a
-    transfer or a saddle-stage operator counted."""
+    both V-cycles forced on and every build of a form, an operator of the
+    complex, a transfer or a kind of the level table counted."""
     mesh = build_unit_cube_mesh(4)
     maps, forms = build_spaces(mesh), {}
     built, cycles = [], []
@@ -296,8 +296,8 @@ def level_reuse():
         mp.setattr(asm, "assemble_bilinear", counting("form", asm.assemble_bilinear))
         for name in ("diff_operator_matrix", "vertex_interpolant", "p1_kuhn_prolongation"):
             mp.setattr(solvers, name, counting(name, getattr(solvers, name)))
-        mp.setattr(solvers, "_SADDLE_OPERATORS", {
-            k: counting(k, b) for k, b in solvers._SADDLE_OPERATORS.items()})
+        mp.setattr(solvers, "_LEVEL_KINDS", {
+            k: counting(k, b) for k, b in solvers._LEVEL_KINDS.items()})
         first = decoupled_solve(smooth_case_fields(1.0)["f"], mesh,
                                 SolverConfig(eps=1.0), maps, forms)
         cached, count = dict(forms), len(built)
@@ -312,13 +312,15 @@ def level_reuse():
 
 
 def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
-    """The eps-free operators of the saddle stage are built on the level's
-    first solve; the second forms none of them, nor any form, operator or
-    transfer, and finds the same objects in the cache.  The W potential's
-    cycle is rebuilt (its matrix depends on eps) from the level's
-    transfers."""
+    """Every kind of the level table is built on the level's first solve,
+    and each operator of the complex once; the second solve forms none of
+    them, nor any form or transfer, and finds the same objects in the cache.
+    The W potential's cycle is rebuilt (its matrix depends on eps) from the
+    level's transfers."""
     r = level_reuse
-    assert set(solvers._SADDLE_OPERATORS) <= set(r["built"])
+    assert set(solvers._LEVEL_KINDS) <= set(r["built"])
+    # grad, curl and div, once each: the ND blocks are slices of grad and curl
+    assert r["built"].count("diff_operator_matrix") == 3
     assert r["built_again"] == []
     assert r["forms"].keys() == r["cached"].keys()
     assert all(r["forms"][k] is v for k, v in r["cached"].items())
@@ -345,6 +347,62 @@ def test_a_shared_level_solves_as_a_fresh_one(level_reuse):
     assert shared.diagnostics["saddle"]["residuals"] == fresh.diagnostics["saddle"]["residuals"]
 
 
+# the forms of the interp method that a caller may assemble up front, as the
+# benchmark does for every level
+INTERP_FORMS = ("poisson_p2", "phi_stiffness", "ind_mass", "curl_coupling",
+                "div_coupling", "rt_mass")
+
+
+@pytest.fixture(scope="module")
+def prefilled_level():
+    """A Kuhn n=4 level whose cache comes pre-filled with the interp forms
+    as ``assemble_bilinear`` returns them, solved once with both V-cycles
+    forced on and every call of ``assemble_bilinear`` counted."""
+    mesh = build_unit_cube_mesh(4)
+    maps = build_spaces(mesh)
+    forms = {k: asm.assemble_bilinear(k, mesh, maps) for k in INTERP_FORMS}
+    prefilled = dict(forms)
+    assembled = []
+
+    def counting(kind, *args):
+        assembled.append(kind)
+        return prefilled[kind]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_takes_multigrid", lambda mesh: True)
+        mp.setattr(asm, "assemble_bilinear", counting)
+        decoupled_solve(smooth_case_fields(1.0)["f"], mesh, SolverConfig(eps=1.0),
+                        maps, forms)
+    return maps, forms, prefilled, assembled
+
+
+def test_a_prefilled_level_cache_is_used_as_it_is(prefilled_level):
+    """``decoupled_solve`` assembles no form of a pre-filled cache again and
+    reads each one's matrix through ``_level``."""
+    maps, forms, prefilled, assembled = prefilled_level
+    assert assembled == []
+    for kind, form in prefilled.items():
+        assert forms[kind] is form
+        assert solvers._level(kind, maps, forms) is form.matrix
+
+
+def test_every_level_kind_builds_once(prefilled_level):
+    """With multigrid forced on, one solve builds every kind of the level
+    table and every operator of the complex; a second ``_level`` call
+    returns the identical object."""
+    maps, forms, _, _ = prefilled_level
+    kinds = (*solvers._LEVEL_KINDS, "grad", "curl", "div")
+    assert set(kinds) <= set(forms)
+    for kind in kinds:
+        found = solvers._level(kind, maps, forms)
+        assert found is forms[kind] and solvers._level(kind, maps, forms) is found
+    assert isinstance(forms["p2_cycle"], VCycle)
+    assert all(a is b for a, b in zip(forms["p2_cycle"].transfers[1:],
+                                      forms["p1_prolongations"], strict=True))
+    assert forms["grad_nd"].shape == (maps[ND].dim, maps[P2].dim)
+    assert forms["curl_nd"].shape == (forms["curl"].shape[0], maps[ND].dim)
+
+
 def test_inner_stops_end_the_small_eps_flux_stall(setup4):
     """At eps=1e-8 the flux right-hand side lies below the outer problem's
     scale, so the flux solve stops at once instead of running to maxiter."""
@@ -368,7 +426,7 @@ def test_inner_stops_are_certificate_scaled(setup4):
     sol = decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
     rhs_phi = asm.assemble_load("gradw_vs_indphi", mesh, maps, sol.w_h)
     atol = cfg.spd_tol * (1.0 + np.linalg.norm(rhs_phi))
-    grad = diff_operator_matrix("grad", maps).matrix
+    grad = diff_operator_matrix("grad", maps)
     first_potential = max(atol, cfg.spd_tol * np.linalg.norm(grad.T @ rhs_phi))
 
     records = sol.diagnostics["krylov"]
@@ -391,7 +449,7 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     """A flux solve that hits maxiter is not judged by a floor of its own:
     the refinement and the certificate decide, and the failure names it."""
     mesh, maps = setup2
-    curl_nd = diff_operator_matrix("curl_nd", maps).matrix
+    curl_nd = solvers._level("curl_nd", maps, {})
     A = vector_form(mesh, maps, 0.6)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
@@ -401,7 +459,10 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     with pytest.raises(SolverFailure) as exc:
         solve_saddle(A, C, D, C @ pstar, cfg, maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
-    assert exc.value.residuals
+    # the refinement stops at its fourth residual: three corrections, and no
+    # fourth that nothing would measure
+    assert len(exc.value.residuals) == 4
+    assert "sweep 4" not in str(exc.value)
 
 
 def test_inner_solve_failure_names_its_stage(setup4):
@@ -415,14 +476,14 @@ def test_inner_solve_failure_names_its_stage(setup4):
 
 def potential_matrix(mesh, maps, eps):
     """The saddle stage's W potential matrix G^T (eps^2 stiffness + mass) G."""
-    G = diff_operator_matrix("grad", maps).matrix
+    G = diff_operator_matrix("grad", maps)
     return (G.T @ (vector_form(mesh, maps, eps) @ G)).tocsr()
 
 
 def w_transfers(mesh):
     """The V-cycle's transfers on ``mesh``: W from the P1 vertex space, then
     P1 down the Kuhn hierarchy."""
-    return solvers._cycle_transfers(W, build_spaces(mesh), {})
+    return solvers._level("w_transfers", build_spaces(mesh), {})
 
 
 def assert_symmetric_and_positive(B, rng):
@@ -450,10 +511,10 @@ def test_p2_cycle_is_symmetric_and_shares_the_p1_chain(setup4):
     set-up time goes to the first record only."""
     mesh, maps = setup4
     cache = {}
-    B = solvers._p2_cycle(maps, cache)
-    assert solvers._p2_cycle(maps, cache) is B
+    B = solvers._level("p2_cycle", maps, cache)
+    assert solvers._level("p2_cycle", maps, cache) is B
     assert [P.shape for P in B.transfers] == [(maps[P2].dim, 27), (27, 1)]
-    w_chain = solvers._cycle_transfers(W, maps, cache)[1:]
+    w_chain = solvers._level("w_transfers", maps, cache)[1:]
     assert all(a is b for a, b in zip(B.transfers[1:], w_chain, strict=True))
     assert_symmetric_and_positive(B, np.random.default_rng(13))
     first, second = B.record(), B.record()

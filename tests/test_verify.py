@@ -80,7 +80,7 @@ def test_check_unisolvence_small():
 
 
 def test_check_infsup(mesh1):
-    rep = check_infsup(mesh1, eps_list=(1.0, 1e-3, 1e-6))
+    rep = check_infsup(mesh1)
     assert rep.passed, rep.to_text()
     betas = [c.value for c in rep.checks]
     assert all(b > 0 for b in betas)
