@@ -24,7 +24,6 @@ from .errors import (
 )
 from .fields import layer_case_fields, smooth_case_fields
 from .mesh import build_unit_cube_mesh
-from .quadrature import MAX_DEGREE, TET
 from .solvers import SolverConfig, SolverFailure, build_spaces, decoupled_solve
 from .verify import (
     CertificationReport,
@@ -52,7 +51,6 @@ class StudyConfig:
     method: str = "interp"  # interp | nointerp | both
     epsilons: tuple = (1e-4,)
     levels: tuple = (4, 8)
-    quad_degree: int = 8
     serial: bool = False
     out: str = None
     formats: tuple = ("csv", "markdown", "json")
@@ -81,11 +79,10 @@ class StudyConfig:
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
-        if not 0 <= self.quad_degree <= MAX_DEGREE[TET]:
-            raise ConfigError(
-                f"quad_degree must lie in [0, {MAX_DEGREE[TET]}], "
-                f"got {self.quad_degree}"
-            )
+        for name in ("serial", "verify", "infsup"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         try:
             # verify runs solve at their own eps
             for eps in () if self.verify else self.epsilons:
@@ -105,11 +102,13 @@ class StudyConfig:
 def run_study(config, log=print):
     """Build/solve/measure every (test, method, eps, n) combination.
 
-    Meshes, DoF maps and eps-independent forms are shared across runs on
-    the same level.  Returns (ConvergenceReport, n_failures).
+    Each level (``build_spaces``: its mesh, DoF maps and eps-free forms and
+    operators) is shared across the runs on it.  Every error is measured at
+    the default quadrature degree of ``err_phi`` and ``compute_error``.
+    Returns (ConvergenceReport, n_failures).
     """
     config.validate()
-    caches = {}
+    levels = {}
     rows = []
     failures = 0
     tests = ("smooth", "layer") if config.test == "both" else (config.test,)
@@ -124,14 +123,13 @@ def run_study(config, log=print):
         # one entry per level; a failed level is None, so no rate spans it
         level_rows = []
         for n in config.levels:
-            if n not in caches:
-                mesh = build_unit_cube_mesh(n)
-                caches[n] = (mesh, build_spaces(mesh), {})
-            mesh, dofmaps, forms = caches[n]
+            if n not in levels:
+                levels[n] = build_spaces(build_unit_cube_mesh(n))
+            level = levels[n]
             scfg = SolverConfig(eps=eps, method=method)
             t0 = time.perf_counter()
             try:
-                sol = decoupled_solve(f, mesh, scfg, dofmaps, forms)
+                sol = decoupled_solve(f, level.mesh, scfg, level)
             except SolverFailure as exc:
                 failures += 1
                 log(f"FAIL {test}/{method} eps={eps:g} n={n}: {exc}")
@@ -139,9 +137,9 @@ def run_study(config, log=print):
                 continue
             seconds = time.perf_counter() - t0
             measure_phi = err_phi if method == "interp" else err_phi_plain
-            e_phi = measure_phi(sol.phi_h, exact_phi, eps, config.quad_degree)
-            e_ul2 = compute_error("l2_scalar", sol.u_h, exact_u, config.quad_degree)
-            e_uh1 = compute_error("h1semi_scalar", sol.u_h, exact_u, config.quad_degree)
+            e_phi = measure_phi(sol.phi_h, exact_phi, eps)
+            e_ul2 = compute_error("l2_scalar", sol.u_h, exact_u)
+            e_uh1 = compute_error("h1semi_scalar", sol.u_h, exact_u)
             level_rows.append(
                 StudyRow(
                     test=test,
@@ -149,8 +147,8 @@ def run_study(config, log=print):
                     epsilon=eps,
                     n=n,
                     h=1.0 / n,
-                    dof_phi=dofmaps[PHI].dim,
-                    dof_total=sum(dofmaps[s].dim for s in (P2, PHI, RT, Q)) + 1,
+                    dof_phi=level[PHI].dim,
+                    dof_total=sum(level[s].dim for s in (P2, PHI, RT, Q)) + 1,
                     err_phi=e_phi,
                     rate_phi=None,
                     err_u_l2=e_ul2,
@@ -204,15 +202,14 @@ def run_verify(config):
             report.add(f"n{n}.{c.name}", c.passed, c.value, c.tolerance, c.detail)
     n = max(config.verify_levels)
     mesh = build_unit_cube_mesh(n)
-    dofmaps = build_spaces(mesh)
-    forms = {}  # the level cache of the four solves and their checks
+    level = build_spaces(mesh)  # shared by the four solves and their checks
     for method in ("interp", "nointerp"):
         for eps in (1.0, 1e-6):
             scfg = SolverConfig(eps=eps, method=method)
             fields = smooth_case_fields(eps)
-            sol = decoupled_solve(fields["f"], mesh, scfg, dofmaps, forms)
+            sol = decoupled_solve(fields["f"], mesh, scfg, level)
             sub = CertificationReport()
-            check_solution_identities(sol, dofmaps, sub, forms=forms)
+            check_solution_identities(sol, level, sub)
             for c in sub.checks:
                 report.add(f"n{n}.{c.name}", c.passed, c.value, c.tolerance, c.detail)
     if not config.serial:
@@ -253,7 +250,6 @@ def _parse_args(argv):
     ap.add_argument("--method", choices=["interp", "nointerp", "both"])
     ap.add_argument("--epsilon", dest="epsilons", help="comma list, e.g. 1e-4,1e-6")
     ap.add_argument("--levels", help="comma list of subdivisions, e.g. 4,8,16")
-    ap.add_argument("--quad-degree", type=int, dest="quad_degree")
     ap.add_argument("--serial", action="store_true", default=None,
                     help="deterministic mode: byte-stable outputs, timings blanked")
     ap.add_argument("--out", help="output directory")

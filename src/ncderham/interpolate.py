@@ -161,15 +161,6 @@ def _evaluate(fe, bary, tids, gradients):
     return np.einsum("tj,tqj...->tq...", local, evaluate(kind, geom, bary))
 
 
-def _require(dofmaps, *spaces):
-    for s in spaces:
-        if s not in dofmaps:
-            raise AssemblyError(f"operator needs a DofMap for space {s!r}")
-    meshes = {id(dofmaps[s].mesh) for s in spaces}
-    if len(meshes) != 1:
-        raise AssemblyError("operator DofMaps built on different meshes")
-
-
 def _edge_gradient_rows(mesh, edge_dofs, vertex_dofs, scalar_edge_dofs):
     """Triplets realizing edge moments of a gradient through scalar DoFs.
 
@@ -218,10 +209,10 @@ def _circulation_rows(mesh, face_dofs, edge_dofs):
 def diff_operator_matrix(kind, dofmaps):
     """Exact sparse operator between spaces, as a CSR matrix.
 
-    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt) and ``div`` (rt -> q).
+    Kinds: ``grad`` (w -> phi), ``curl`` (phi -> rt) and ``div`` (rt -> q),
+    from ``dofmaps``, the DofMaps of one mesh (a ``build_spaces`` level).
     """
     if kind == "grad":
-        _require(dofmaps, W, PHI)
         wmap, pmap = dofmaps[W], dofmaps[PHI]
         mesh = wmap.mesh
         rows, cols, vals = _edge_gradient_rows(
@@ -234,7 +225,6 @@ def diff_operator_matrix(kind, dofmaps):
         return _triplets(rows, cols, vals, (pmap.dim, wmap.dim))
 
     if kind == "curl":
-        _require(dofmaps, PHI, RT)
         pmap, rmap = dofmaps[PHI], dofmaps[RT]
         rows, cols, vals = _circulation_rows(
             pmap.mesh, rmap.face_dofs, pmap.edge_dofs
@@ -242,7 +232,6 @@ def diff_operator_matrix(kind, dofmaps):
         return _triplets(rows, cols, vals, (rmap.dim, pmap.dim))
 
     if kind == "div":
-        _require(dofmaps, RT, Q)
         rmap, qmap = dofmaps[RT], dofmaps[Q]
         mesh = rmap.mesh
         geom = mesh_geometry(mesh)

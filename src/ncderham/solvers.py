@@ -13,6 +13,7 @@ approaches zero.
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -32,22 +33,24 @@ class SolverFailure(Exception):
         self.residuals = residuals or []
 
 
+SPD_TOL = 1e-12  # CG stops at max(atol, SPD_TOL * ||rhs||)
+SPD_MAXITER = 60000
+SADDLE_TOL = 1e-10  # of the saddle refinement; its certificate allows ten times it
+
+
 @dataclass
 class SolverConfig:
+    """The problem of one table row: eps and the method."""
+
     eps: float = 1.0
     method: str = "interp"  # "interp" or "nointerp"
-    spd_tol: float = 1e-12
-    spd_maxiter: int = 60000
-    saddle_tol: float = 1e-10
+    saddle_tol: ClassVar[float] = SADDLE_TOL  # not a field; the benchmark reads it
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
-        for tol in (self.spd_tol, self.saddle_tol):
-            if not 0 < tol < 1:
-                raise ValueError(f"tolerances must lie in (0, 1), got {tol}")
 
 
 @dataclass
@@ -62,8 +65,8 @@ class DecoupledSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pcg(matrix, rhs, config, atol, M=None):
-    """Preconditioned CG stopped at ``max(atol, spd_tol * ||rhs||)``.
+def _pcg(matrix, rhs, atol, M=None):
+    """Preconditioned CG stopped at ``max(atol, SPD_TOL * ||rhs||)``.
 
     ``M`` is a ``VCycle``; without one the solve is Jacobi-preconditioned,
     and a zero diagonal entry of a semidefinite matrix (the flux curl-curl)
@@ -82,7 +85,7 @@ def _pcg(matrix, rhs, config, atol, M=None):
         info = {"preconditioner": "jacobi"}
     else:
         info = M.record()
-    target = float(max(atol, config.spd_tol * np.linalg.norm(rhs)))
+    target = float(max(atol, SPD_TOL * np.linalg.norm(rhs)))
     if not np.any(rhs):
         record = {**info, "iterations": 0, "residual": 0.0, "target": target,
                   "reason": "zero_rhs"}
@@ -94,7 +97,7 @@ def _pcg(matrix, rhs, config, atol, M=None):
 
     x, status = spla.cg(
         spla.LinearOperator(matrix.shape, matvec=matrix.dot, dtype=float), rhs,
-        rtol=config.spd_tol, atol=atol, maxiter=config.spd_maxiter, M=M,
+        rtol=SPD_TOL, atol=atol, maxiter=SPD_MAXITER, M=M,
         callback=cb,
     )
     residual = float(np.linalg.norm(rhs - matrix @ x))
@@ -109,29 +112,28 @@ def _pcg(matrix, rhs, config, atol, M=None):
     return x, record
 
 
-def solve_spd(matrix, rhs, config=None, stats=None, atol=0.0, M=None):
+def solve_spd(matrix, rhs, stats=None, atol=0.0, M=None):
     """Solve an SPD system by preconditioned CG.
 
-    CG stops once the residual norm falls below ``max(atol, spd_tol *
+    CG stops once the residual norm falls below ``max(atol, SPD_TOL *
     ||rhs||)``.  ``M`` is a ``VCycle`` preconditioner; without one the solve
     is Jacobi-preconditioned.  ``stats``, when given a dict, receives the
     solve's record (see ``_pcg``), with a multigrid preconditioner's
     ``levels``, ``coarse_dims`` (the dimension of every level, finest first)
-    and ``setup_s``.  A solve stopped at ``spd_maxiter`` raises; a drifted
+    and ``setup_s``.  A solve stopped at ``SPD_MAXITER`` raises; a drifted
     one does not.
     """
-    config = config or SolverConfig()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise ValueError("rhs does not match the matrix")
     if M is None and np.any(matrix.diagonal() <= 0):
         raise SolverFailure("matrix has nonpositive diagonal; not SPD")
-    x, record = _pcg(matrix, rhs, config, atol, M)
+    x, record = _pcg(matrix, rhs, atol, M)
     if stats is not None:
         stats.update(record)
     if record["reason"] == "maxiter":
         raise SolverFailure(
-            f"CG did not reach rtol {config.spd_tol} in {config.spd_maxiter} iterations",
+            f"CG did not reach rtol {SPD_TOL} in {SPD_MAXITER} iterations",
             residuals=[record["residual"]],
         )
     return x
@@ -262,7 +264,7 @@ def _lanczos_max(A, inv_diag):
     return float(np.linalg.eigvalsh(T)[-1])
 
 
-def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
+def solve_saddle(A, C, D, rhs_phi, level):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
@@ -285,23 +287,21 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     Every operator that does not depend on eps -- the complex's operators,
     their transposes, the flux curl-curl, the projection Laplacian and,
     where ``_takes_multigrid``, the potential's V-cycle transfers -- is read
-    from ``dofmaps`` (one level's ``build_spaces``) through the level cache
-    ``forms``, as ``decoupled_solve`` does, so the solves of a level form
-    them once.  Only the potential matrix ``G^T A G`` depends on eps.  The
+    from ``level`` (``build_spaces``), so the solves of a level form them
+    once.  Only the potential matrix ``G^T A G`` depends on eps.  The
     refinement measures at most four residuals, after three corrections.
     """
     t0 = time.perf_counter()
-    forms = forms if forms is not None else {}
-    G, Gt = (_level(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
+    G, Gt = level["grad"], level["grad_t"]
     Ared = _symmetric_part(_sorted(Gt @ (A @ G)))
     # the other operators after Ared: on a level's first solve the products
     # that form Z then do not overlap those of Ared (the n=32 peak)
     Knd, Gnd, Gnd_t, Z, L = (
-        _level(kind, dofmaps, forms)
+        level[kind]
         for kind in ("curl_nd", "grad_nd", "grad_nd_t", "flux_curl_curl",
                      "projection_laplacian")
     )
-    multigrid = _takes_multigrid(dofmaps[W].mesh)  # else Jacobi
+    multigrid = _takes_multigrid(level.mesh)  # else Jacobi
     nd_dim = Knd.shape[1]
     nphi = A.shape[0]
     nq = D.shape[0]
@@ -312,14 +312,14 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
     bnorm = np.linalg.norm(rhs_phi)
     # every inner solve stops at the outer problem's scale as well as
     # relative to its own right-hand side
-    atol = config.spd_tol * (1.0 + bnorm)
+    atol = SPD_TOL * (1.0 + bnorm)
     residuals = []
     krylov = []
     for sweep in range(1, 5):
         r_phi = rhs_phi - A @ phi - C @ p
         res = float(np.linalg.norm(r_phi) / (1.0 + bnorm))
         residuals.append(res)
-        if res <= config.saddle_tol:
+        if res <= SADDLE_TOL:
             break
         if sweep == 4:
             raise SolverFailure(
@@ -329,18 +329,18 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
             )
         potential, projection = {}, {}
         if M is None and multigrid:
-            M = VCycle(Ared, _level("w_transfers", dofmaps, forms))
-        w = solve_spd(Ared, Gt @ r_phi, config, stats=potential, atol=atol, M=M)
+            M = VCycle(Ared, level["w_transfers"])
+        w = solve_spd(Ared, Gt @ r_phi, stats=potential, atol=atol, M=M)
         dphi = G @ w
         r_e = (r_phi - A @ dphi)[:nd_dim]
         # the solver tolerance of the potential step leaves a tiny component
         # in the gradient directions; remove it so the flux system is
         # consistent for CG
-        z = solve_spd(L, Gnd_t @ r_e, config, stats=projection, atol=atol)
+        z = solve_spd(L, Gnd_t @ r_e, stats=projection, atol=atol)
         r_e = r_e - Gnd @ z
         # a flux solve stopped at maxiter does not raise: the certificate
         # decides on it
-        y, flux = _pcg(Z, r_e, config, atol)
+        y, flux = _pcg(Z, r_e, atol)
         for stage, record in (
             ("potential", potential), ("projection", projection), ("flux", flux)
         ):
@@ -359,7 +359,7 @@ def solve_saddle(A, C, D, rhs_phi, config, dofmaps, forms=None):
         )
         / (1.0 + bnorm)
     )
-    if full_res > 10 * config.saddle_tol:
+    if full_res > 10 * SADDLE_TOL:
         raise SolverFailure(
             f"reduced saddle certificate failed: residual {full_res:.3e}"
             + _maxiter_note(krylov),
@@ -398,61 +398,66 @@ def _maxiter_note(krylov):
     return f"; inner solves stopped at maxiter: {', '.join(hits)}" if hits else ""
 
 
+SPACES = (P2, ND, RT, Q, PHI, W)
+
+
+class Level(dict):
+    """One mesh level: its six DofMaps by space tag, and every eps-free
+    object of the level, built on its first lookup and kept under its kind:
+    a form (``assemble_bilinear``), an operator of the complex
+    (``diff_operator_matrix``) or one of the ``_LEVEL_KINDS``."""
+
+    def __init__(self, mesh):
+        super().__init__((s, asm.build_dof_map(s, mesh)) for s in SPACES)
+        self.mesh = mesh
+
+    def __missing__(self, kind):
+        if kind in asm.FORM_KINDS:
+            found = asm.assemble_bilinear(kind, self.mesh, self).matrix
+        elif kind in _LEVEL_KINDS:
+            found = _LEVEL_KINDS[kind](self)
+        else:
+            found = diff_operator_matrix(kind, self)
+        self[kind] = found
+        return found
+
+
 def build_spaces(mesh):
-    """All six DofMaps on one mesh."""
-    return {s: asm.build_dof_map(s, mesh) for s in (P2, ND, RT, Q, PHI, W)}
+    """The ``Level`` of ``mesh``: all six DofMaps, and its eps-free objects
+    on demand."""
+    return Level(mesh)
 
 
 # eps-free objects of a level besides its forms and the complex's operators:
-# kind -> its build from a lookup ``get`` of other kinds and the level's maps
+# kind -> its build from the level ``lv``
 _LEVEL_KINDS = {
-    "grad_t": lambda get, maps: get("grad").T.tocsr(),
+    "grad_t": lambda lv: lv["grad"].T.tocsr(),
     # the blocks on the Nedelec space ND: ND numbers the edge DoFs of Phi,
     # which come first, and P2 the vertex and edge DoFs of W, which come
     # first too (build_dof_map)
-    "grad_nd": lambda get, maps: get("grad")[: maps[ND].dim, : maps[P2].dim],
-    "curl_nd": lambda get, maps: get("curl")[:, : maps[ND].dim],
-    "grad_nd_t": lambda get, maps: get("grad_nd").T.tocsr(),
+    "grad_nd": lambda lv: lv["grad"][: lv[ND].dim, : lv[P2].dim],
+    "curl_nd": lambda lv: lv["curl"][:, : lv[ND].dim],
+    "grad_nd_t": lambda lv: lv["grad_nd"].T.tocsr(),
     # the flux curl-curl K_nd^T M_rt K_nd; K_nd^T serves only here, so the
     # level does not keep it (28 MB at n=32)
-    "flux_curl_curl": lambda get, maps: _symmetric_part(
-        _sorted(get("curl_nd").T.tocsr() @ (get("rt_mass") @ get("curl_nd")))
+    "flux_curl_curl": lambda lv: _symmetric_part(
+        _sorted(lv["curl_nd"].T.tocsr() @ (lv["rt_mass"] @ lv["curl_nd"]))
     ),
     # the graph Laplacian G_nd^T G_nd of the gradient range
-    "projection_laplacian": lambda get, maps: _sorted(get("grad_nd_t") @ get("grad_nd")),
+    "projection_laplacian": lambda lv: _sorted(lv["grad_nd_t"] @ lv["grad_nd"]),
     # the V-cycles' transfers on a Kuhn cube, finest first: from the P1 vertex
     # space of the same mesh (an auxiliary space that carries the W
     # potential's slowest modes and is the exact P1 subspace of P2), then one
     # chain of P1 prolongations down the Kuhn hierarchy that both cycles share
-    "p1_prolongations": lambda get, maps: tuple(
-        p1_kuhn_prolongation(n) for n in _kuhn_levels(maps[W].mesh.kuhn_n)[:-1]
+    "p1_prolongations": lambda lv: tuple(
+        p1_kuhn_prolongation(n) for n in _kuhn_levels(lv.mesh.kuhn_n)[:-1]
     ),
-    "w_transfers": lambda get, maps: (
-        (vertex_interpolant(maps[W]),) + get("p1_prolongations")),
-    "p2_transfers": lambda get, maps: (
-        (vertex_interpolant(maps[P2]),) + get("p1_prolongations")),
+    "w_transfers": lambda lv: (vertex_interpolant(lv[W]),) + lv["p1_prolongations"],
+    "p2_transfers": lambda lv: (vertex_interpolant(lv[P2]),) + lv["p1_prolongations"],
     # the P2 Poisson matrix depends on neither eps nor the method, so both
     # Poisson stages of every solve on the level share one cycle
-    "p2_cycle": lambda get, maps: VCycle(get("poisson_p2"), get("p2_transfers")),
+    "p2_cycle": lambda lv: VCycle(lv["poisson_p2"], lv["p2_transfers"]),
 }
-
-
-def _level(kind, dofmaps, cache):
-    """A form, an operator of the complex or one of the ``_LEVEL_KINDS`` on
-    the level of ``dofmaps`` (its ``build_spaces``), built once per ``cache``
-    dict and kept under ``kind``; a form is kept, or may come pre-filled, as
-    ``assemble_bilinear`` returns it."""
-    if kind not in cache:
-        if kind in asm.FORM_KINDS:
-            cache[kind] = asm.assemble_bilinear(kind, dofmaps[P2].mesh, dofmaps)
-        elif kind in _LEVEL_KINDS:
-            cache[kind] = _LEVEL_KINDS[kind](
-                lambda other: _level(other, dofmaps, cache), dofmaps
-            )
-        else:
-            cache[kind] = diff_operator_matrix(kind, dofmaps)
-    found = cache[kind]
-    return found.matrix if isinstance(found, asm.AssembledForm) else found
 
 
 def _kuhn_levels(n):
@@ -484,55 +489,59 @@ def _stage(label, t0, solve, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
+def decoupled_solve(f_field, mesh, config, level=None, forms=None):
     """Run the four decoupled stages for source ``f_field``.
 
     Stage 1 and 4 are quadratic-Lagrange Poisson solves sharing one
     stiffness matrix; stage 2/3 is the saddle system for the vector
     unknown, the multiplier and the flux.  With ``method='interp'`` the
     mass and coupling terms pass the vector argument through the local
-    edge interpolation onto the linear tangential element.
+    edge interpolation onto the linear tangential element.  ``level`` is
+    the ``build_spaces`` of ``mesh``, shared by the solves on it; ``forms``
+    maps form kinds to forms a caller assembled up front, which the level
+    adopts where it has none of its own.
     """
     if not isinstance(f_field, AnalyticField):
         raise TypeError("f_field must be an AnalyticField")
     t_start = time.perf_counter()
-    dofmaps = dofmaps or build_spaces(mesh)
-    forms = forms if forms is not None else {}
+    level = level if level is not None else build_spaces(mesh)
+    for kind, form in (forms or {}).items():
+        level.setdefault(kind, form.matrix)
 
-    S = _level("poisson_p2", dofmaps, forms)
-    b_f = asm.assemble_load("f_vs_p2", mesh, dofmaps, f_field)
+    S = level["poisson_p2"]
+    b_f = asm.assemble_load("f_vs_p2", mesh, level, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
-    S_cycle = _level("p2_cycle", dofmaps, forms) if _takes_multigrid(mesh) else None
-    w, t_w = _stage("stage 1 (poisson w)", t0, solve_spd, S, b_f, config,
+    S_cycle = level["p2_cycle"] if _takes_multigrid(mesh) else None
+    w, t_w = _stage("stage 1 (poisson w)", t0, solve_spd, S, b_f,
                     stats=poisson_w, M=S_cycle)
-    w_h = FeFunction(dofmaps[P2], w)
+    w_h = FeFunction(level[P2], w)
 
     interp = config.method == "interp"
-    stiff = _level("phi_stiffness", dofmaps, forms)
-    mass = _level("ind_mass" if interp else "phi_mass", dofmaps, forms)
+    stiff = level["phi_stiffness"]
+    mass = level["ind_mass" if interp else "phi_mass"]
     # copied so that it holds only its own entries (see _symmetric_part)
     A = ((config.eps**2) * stiff + mass).copy()
-    C = _level("curl_coupling" if interp else "curl_coupling_plain", dofmaps, forms)
-    D = _level("div_coupling", dofmaps, forms)
+    C = level["curl_coupling" if interp else "curl_coupling_plain"]
+    D = level["div_coupling"]
     rhs_phi = asm.assemble_load(
-        "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, dofmaps, w_h
+        "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, level, w_h
     )
     (phi, lam, p, nu, saddle_info), t_saddle = _stage(
         "stage 2 (saddle)", time.perf_counter(), solve_saddle,
-        A, C, D, rhs_phi, config, dofmaps, forms,
+        A, C, D, rhs_phi, level,
     )
-    phi_h = FeFunction(dofmaps[PHI], phi)
-    lambda_h = FeFunction(dofmaps[Q], lam)
-    p_h = FeFunction(dofmaps[RT], p)
+    phi_h = FeFunction(level[PHI], phi)
+    lambda_h = FeFunction(level[Q], lam)
+    p_h = FeFunction(level[RT], p)
 
     b_u = asm.assemble_load(
-        "indphi_vs_gradp2" if interp else "phi_vs_gradp2", mesh, dofmaps, phi_h
+        "indphi_vs_gradp2" if interp else "phi_vs_gradp2", mesh, level, phi_h
     )
     poisson_u = {}
     u, t_u = _stage("stage 4 (poisson u)", time.perf_counter(), solve_spd, S, b_u,
-                    config, stats=poisson_u, M=S_cycle)
-    u_h = FeFunction(dofmaps[P2], u)
+                    stats=poisson_u, M=S_cycle)
+    u_h = FeFunction(level[P2], u)
 
     sol = DecoupledSolution(
         w_h=w_h, phi_h=phi_h, p_h=p_h, lambda_h=lambda_h, u_h=u_h,
@@ -548,36 +557,36 @@ def decoupled_solve(f_field, mesh, config, dofmaps=None, forms=None):
             {"stage": "poisson_u", "sweep": None, **poisson_u},
         ],
         "multiplier_nu": nu,
-        "dims": {s: dofmaps[s].dim for s in dofmaps},
+        "dims": {s: level[s].dim for s in SPACES},
     }
-    sol.diagnostics["identities"] = solution_identity_norms(sol, dofmaps, forms)
+    sol.diagnostics["identities"] = solution_identity_norms(sol, level)
     return sol
 
 
-def solution_identity_norms(sol, dofmaps, forms):
+def solution_identity_norms(sol, level):
     """L2-type norms of the algebraic identities the solution must satisfy.
 
     Returns absolute norms together with the data scale used by checks:
     with the interpolated method the multiplier vanishes, the flux is
     solenoidal, the edge interpolant of the vector unknown is the gradient
-    of the scalar solve, and the vector unknown is curl-free.  ``forms`` is
-    the level cache of ``decoupled_solve``.
+    of the scalar solve, and the vector unknown is curl-free.  The
+    operators and forms come from ``level``, the solve's ``build_spaces``.
     """
     mesh = sol.w_h.dofmap.mesh
     vols = asm.q_weights(mesh)
 
     lam_norm = float(np.sqrt(vols @ sol.lambda_h.coeffs**2))
-    divp = _level("div", dofmaps, forms) @ sol.p_h.coeffs
+    divp = level["div"] @ sol.p_h.coeffs
     divp_norm = float(np.sqrt(vols @ divp**2))
 
-    curlphi = _level("curl", dofmaps, forms) @ sol.phi_h.coeffs
-    Mrt = _level("rt_mass", dofmaps, forms)
+    curlphi = level["curl"] @ sol.phi_h.coeffs
+    Mrt = level["rt_mass"]
     curl_norm = float(np.sqrt(curlphi @ (Mrt @ curlphi)))
 
-    grad_nd = _level("grad_nd", dofmaps, forms)
+    grad_nd = level["grad_nd"]
     delta = nd_interpolant(sol.phi_h).coeffs - grad_nd @ sol.u_h.coeffs
-    Mnd = _level("ind_mass", dofmaps, forms)
-    lifted = np.zeros(dofmaps[PHI].dim)
+    Mnd = level["ind_mass"]
+    lifted = np.zeros(level[PHI].dim)
     lifted[: delta.size] = delta
     ind_grad_norm = float(np.sqrt(lifted @ (Mnd @ lifted)))
 
@@ -592,11 +601,11 @@ def solution_identity_norms(sol, dofmaps, forms):
     }
 
 
-def gradient_range_residual(phi, dofmaps, forms):
+def gradient_range_residual(phi, level):
     """How far the Phi coefficients ``phi`` lie from the range of the W
     gradient: the least-squares residual ``||grad w - phi|| / (1 + ||phi||)``.
-    ``forms`` is the level cache, as in ``solution_identity_norms``."""
-    grad, grad_t = (_level(kind, dofmaps, forms) for kind in ("grad", "grad_t"))
+    The operators come from ``level``, as in ``solution_identity_norms``."""
+    grad, grad_t = level["grad"], level["grad_t"]
     gram = (grad_t @ grad).tocsc()
     w = spla.spsolve(gram, grad_t @ phi)
     return float(np.linalg.norm(grad @ w - phi) / (1.0 + np.linalg.norm(phi)))

@@ -15,7 +15,7 @@ from . import elements as el
 from . import fields as fl
 from . import interpolate as itp
 from .assembly import ND, PHI, Q, RT, W
-from .interpolate import FeFunction, diff_operator_matrix, fe_values
+from .interpolate import FeFunction, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
 from .solvers import build_spaces, gradient_range_residual, solution_identity_norms
@@ -27,6 +27,8 @@ COND_LIMIT = 1e9  # largest condition number of an element's DoF matrix
 INFSUP_EPS = (1.0, 1e-3, 1e-6)  # the perturbation parameters of the inf-sup tier
 INFSUP_FLOOR = 1e-8  # an inf-sup constant at or below it counts as zero
 IDENTITY_RTOL = 1e-8  # of a solved system's identities, relative to its scale
+WEAK_CONTINUITY_SAMPLES = 20  # random coefficient vectors per mesh
+UNISOLVENCE_TETS = 100  # random shape-regular tets
 
 
 @dataclass
@@ -100,13 +102,13 @@ def face_jump_means(fe):
 def check_complex(mesh, report=None):
     """Composition-zero, injectivity/rank and exactness counts (dense)."""
     report = report if report is not None else CertificationReport()
-    dofmaps = build_spaces(mesh)
-    if dofmaps[PHI].dim > 2000:
+    level = build_spaces(mesh)
+    if level[PHI].dim > 2000:
         raise MemoryError(
             "dense rank checks are limited to small meshes (n <= 2); "
             "use a coarser level"
         )
-    grad, curl, div = (diff_operator_matrix(k, dofmaps) for k in ("grad", "curl", "div"))
+    grad, curl, div = (level[k] for k in ("grad", "curl", "div"))
 
     cg = abs(curl @ grad).max() if grad.shape[1] else 0.0
     dc = abs(div @ curl).max() if curl.shape[1] else 0.0
@@ -124,10 +126,10 @@ def check_complex(mesh, report=None):
     r_grad = rank(grad)
     report.add(
         "complex.grad_injective",
-        r_grad == dofmaps[W].dim,
+        r_grad == level[W].dim,
         float(r_grad),
-        float(dofmaps[W].dim),
-        detail=f"rank(grad)={r_grad}, dim W_h={dofmaps[W].dim}",
+        float(level[W].dim),
+        detail=f"rank(grad)={r_grad}, dim W_h={level[W].dim}",
     )
     r_curl = rank(curl)
     expected_curl = ne - nv
@@ -141,11 +143,11 @@ def check_complex(mesh, report=None):
     r_div = rank(div)
     report.add(
         "complex.div_onto_zero_mean",
-        r_div == dofmaps[Q].dim - 1,
+        r_div == level[Q].dim - 1,
         float(r_div),
-        float(dofmaps[Q].dim - 1),
+        float(level[Q].dim - 1),
     )
-    nullity_div = dofmaps[RT].dim - r_div
+    nullity_div = level[RT].dim - r_div
     report.add(
         "complex.exactness_at_rt",
         nullity_div == r_curl,
@@ -250,28 +252,26 @@ def _bubble_compatible_fields():
 
 def _check_commuting_global(mesh, report, tol):
     """Global interior-DoF identities for boundary-compatible fields."""
-    dofmaps = build_spaces(mesh)
+    level = build_spaces(mesh)
     scalar, grad_field, vec, curl = _bubble_compatible_fields()
 
-    iw = itp.canonical_interpolate(dofmaps[W], scalar)
-    iphi_grad = itp.canonical_interpolate(dofmaps[PHI], grad_field)
-    G = itp.diff_operator_matrix("grad", dofmaps)
-    dev = _rel_dev(G @ iw.coeffs, iphi_grad.coeffs)
+    iw = itp.canonical_interpolate(level[W], scalar)
+    iphi_grad = itp.canonical_interpolate(level[PHI], grad_field)
+    dev = _rel_dev(level["grad"] @ iw.coeffs, iphi_grad.coeffs)
     report.add(
         "commuting.grad_route_global", dev <= tol, dev, tol,
         detail="grad(I_W v) = I_Phi(grad v) on interior DoFs",
     )
 
-    iphi = itp.canonical_interpolate(dofmaps[PHI], vec)
-    irt = itp.canonical_interpolate(dofmaps[RT], curl)
-    K = itp.diff_operator_matrix("curl", dofmaps)
-    dev = _rel_dev(K @ iphi.coeffs, irt.coeffs)
+    iphi = itp.canonical_interpolate(level[PHI], vec)
+    irt = itp.canonical_interpolate(level[RT], curl)
+    dev = _rel_dev(level["curl"] @ iphi.coeffs, irt.coeffs)
     report.add(
         "commuting.curl_route_global", dev <= tol, dev, tol,
         detail="curl(I_Phi v) = I_RT(curl v) on interior DoFs",
     )
 
-    ind_nd = itp.canonical_interpolate(dofmaps[ND], vec)
+    ind_nd = itp.canonical_interpolate(level[ND], vec)
     dev = _rel_dev(itp.nd_interpolant(iphi).coeffs, ind_nd.coeffs)
     report.add(
         "commuting.edge_restriction_global", dev <= tol, dev, tol,
@@ -279,31 +279,32 @@ def _check_commuting_global(mesh, report, tol):
     )
 
 
-def check_weak_continuity(mesh, report=None, nsamples=20, seed=1234):
+def check_weak_continuity(mesh, report=None, seed=1234):
     """Face means of jumps vanish for random members of the vector space."""
     report = report if report is not None else CertificationReport()
     dofmap = asm.build_dof_map(PHI, mesh)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(nsamples):
+    for _ in range(WEAK_CONTINUITY_SAMPLES):
         c = rng.standard_normal(dofmap.dim)
         fe = FeFunction(dofmap, c)
         jumps = face_jump_means(fe)
         worst = max(worst, float(np.abs(jumps).max() / max(1.0, np.abs(c).max())))
     report.add(
         "weak_continuity.face_jump_means", worst <= WEAK_CONTINUITY_TOL, worst,
-        WEAK_CONTINUITY_TOL, detail=f"{nsamples} random coefficient vectors",
+        WEAK_CONTINUITY_TOL,
+        detail=f"{WEAK_CONTINUITY_SAMPLES} random coefficient vectors",
     )
     return report
 
 
-def check_unisolvence(report=None, ntets=100, seed=4321):
+def check_unisolvence(report=None, seed=4321):
     """DoF matrices stay invertible on random shape-regular tets."""
     report = report if report is not None else CertificationReport()
     rng = np.random.default_rng(seed)
     worst = {el.PHI_NC: 0.0, el.W_NC: 0.0}
     count = 0
-    while count < ntets:
+    while count < UNISOLVENCE_TETS:
         verts = rng.uniform(-1.0, 1.0, size=(4, 3))
         e = verts[1:] - verts[0]
         det = np.linalg.det(e)
@@ -323,7 +324,8 @@ def check_unisolvence(report=None, ntets=100, seed=4321):
     for kind, val in worst.items():
         report.add(
             f"unisolvence.{kind}", np.isfinite(val) and val < COND_LIMIT, val,
-            COND_LIMIT, detail=f"max condition number over {ntets} random tets",
+            COND_LIMIT,
+            detail=f"max condition number over {UNISOLVENCE_TETS} random tets",
         )
     return report
 
@@ -335,16 +337,15 @@ def check_infsup(mesh, report=None):
     mesh stability, reported for each perturbation parameter in ``INFSUP_EPS``.
     """
     report = report if report is not None else CertificationReport()
-    dofmaps = build_spaces(mesh)
-    if dofmaps[PHI].dim > 2000:
+    level = build_spaces(mesh)
+    if level[PHI].dim > 2000:
         raise MemoryError("inf-sup check is dense; use n <= 2")
-    S = asm.assemble_bilinear("phi_stiffness", mesh, dofmaps).matrix.toarray()
-    Mnd = asm.assemble_bilinear("ind_mass", mesh, dofmaps).matrix.toarray()
-    Mrt = asm.assemble_bilinear("rt_mass", mesh, dofmaps).matrix.toarray()
-    Ccoup = asm.assemble_bilinear("curl_coupling", mesh, dofmaps).matrix.toarray()
+    S, Mnd, Mrt, Ccoup, Kop, Dop = (
+        level[kind].toarray()
+        for kind in ("phi_stiffness", "ind_mass", "rt_mass", "curl_coupling",
+                     "curl", "div")
+    )
     vols = asm.q_weights(mesh)
-    Kop = diff_operator_matrix("curl", dofmaps).toarray()
-    Dop = diff_operator_matrix("div", dofmaps).toarray()
     Kc = Kop.T @ Mrt @ Kop
     D = vols[:, None] * Dop  # (mu_k, div q_j) = |T_k| (div q_j)|_k
     Y = Mrt + Dop.T @ (vols[:, None] * Dop)
@@ -365,13 +366,11 @@ def check_infsup(mesh, report=None):
     return report
 
 
-def check_solution_identities(sol, dofmaps, report=None, forms=None):
-    """Algebraic identities of a solved decoupled system.  ``forms`` is the
-    level cache of ``decoupled_solve``; without it every matrix is built
-    afresh."""
+def check_solution_identities(sol, level, report=None):
+    """Algebraic identities of a solved decoupled system on ``level``, the
+    ``build_spaces`` of its solve."""
     report = report if report is not None else CertificationReport()
-    forms = forms if forms is not None else {}
-    norms = solution_identity_norms(sol, dofmaps, forms)
+    norms = solution_identity_norms(sol, level)
     tol = IDENTITY_RTOL * norms["scale"]
     prefix = f"identities.{sol.method}_eps{sol.eps:g}"
     checks = [
@@ -384,7 +383,7 @@ def check_solution_identities(sol, dofmaps, report=None, forms=None):
     for check, key in checks:
         report.add(f"{prefix}.{check}", norms[key] <= tol, norms[key], tol)
     if sol.method == "interp":
-        res = gradient_range_residual(sol.phi_h.coeffs, dofmaps, forms)
+        res = gradient_range_residual(sol.phi_h.coeffs, level)
         report.add(
             f"{prefix}.phi_in_grad_w", res <= IDENTITY_RTOL, res, IDENTITY_RTOL,
             detail="least-squares residual of grad w = phi",

@@ -1,7 +1,7 @@
 import pytest
 
 from ncderham import solvers
-from ncderham.assembly import Q, q_weights
+from ncderham.assembly import q_weights
 from oracles import solve_saddle_lu
 
 
@@ -11,8 +11,7 @@ def lu_saddle(monkeypatch):
     ``solvers.solve_saddle`` up at call time, through the monolithic LU
     oracle ``solve_saddle_lu``."""
 
-    def solve(A, C, D, rhs_phi, config, dofmaps, forms=None):
-        vols = q_weights(dofmaps[Q].mesh)
-        return solve_saddle_lu(A, C, D, vols, rhs_phi, config)
+    def solve(A, C, D, rhs_phi, level):
+        return solve_saddle_lu(A, C, D, q_weights(level.mesh), rhs_phi)
 
     monkeypatch.setattr(solvers, "solve_saddle", solve)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ncderham.solvers import SolverConfig, SolverFailure
+from ncderham.solvers import SADDLE_TOL, SolverFailure
 
 
 def _equilibrate(K):
@@ -31,14 +31,13 @@ def _equilibrate(K):
     return (S @ K @ S).tocsc(), s
 
 
-def solve_saddle_lu(A, C, D, cell_measures, rhs_phi, config=None):
+def solve_saddle_lu(A, C, D, cell_measures, rhs_phi):
     """The block system of ``solve_saddle``, with e = ``cell_measures``,
     factored whole: sparse LU with symmetric equilibration and up to three
     steps of iterative refinement.  Its fill grows prohibitively on larger
     3D meshes, so it serves only as the tests' small-mesh oracle.  Returns
     the same tuple, with ``info["mode"] == "direct"``.
     """
-    config = config or SolverConfig()
     nphi, nrt = C.shape
     nq = D.shape[0]
     e = sp.csr_matrix(cell_measures.reshape(-1, 1))
@@ -69,7 +68,7 @@ def solve_saddle_lu(A, C, D, cell_measures, rhs_phi, config=None):
         r = b - K @ x
         res = float(np.linalg.norm(r) / (1.0 + bnorm))
         residuals.append(res)
-        if res <= config.saddle_tol:
+        if res <= SADDLE_TOL:
             break
         if refinements == 3:
             raise SolverFailure(

@@ -102,7 +102,7 @@ def test_criterion_1_structural_identities():
         for c in rep.checks:
             if not c.passed:
                 failures.append(f"n={n}: {c.line()}")
-    rep = check_unisolvence(ntets=100)
+    rep = check_unisolvence()
     for c in rep.checks:
         if not c.passed:
             failures.append(c.line())

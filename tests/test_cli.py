@@ -38,12 +38,10 @@ def test_config_surface_is_pinned():
     """The settable fields of a study and of a solve.  A new knob is a
     deliberate edit of this list."""
     assert tuple(f.name for f in dataclasses.fields(StudyConfig)) == (
-        "test", "method", "epsilons", "levels", "quad_degree", "serial", "out",
+        "test", "method", "epsilons", "levels", "serial", "out",
         "formats", "seed", "verify", "infsup", "verify_levels",
     )
-    assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == (
-        "eps", "method", "spd_tol", "spd_maxiter", "saddle_tol",
-    )
+    assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == ("eps", "method")
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -55,7 +53,9 @@ def test_cli_config_error_exit_code(tmp_path):
     broken.write_text("{not json")
     assert main(["--config", str(broken)]) == 2
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
-    assert main(["--quad-degree", "13"]) == 2
+    with pytest.raises(SystemExit) as unknown_flag:  # argparse exits on its own
+        main(["--quad-degree", "13"])
+    assert unknown_flag.value.code == 2
     assert main(["--epsilon", "abc"]) == 2
     for eps in ("0", "nan", "inf"):
         assert main(["--epsilon", eps]) == 2
@@ -64,6 +64,7 @@ def test_cli_config_error_exit_code(tmp_path):
         {"epsilons": 1e-4}, {"epsilons": [0.0]}, {"quad_degree": -1},
         {"verify": True, "verify_levels": [0]}, {"verify": True, "seed": "x"},
         {"epsilons": []}, {"formats": []},
+        {"serial": "false"}, {"verify": "no"}, {"infsup": 1},
     ):
         cfg = tmp_path / "invalid.json"
         cfg.write_text(json.dumps(fields))
@@ -75,7 +76,7 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--method", "nointerp"], "method", "nointerp"),
     (["--epsilon", "1e-3,1e-5"], "epsilons", (1e-3, 1e-5)),
     (["--levels", "2,4,8"], "levels", (2, 4, 8)),
-    (["--quad-degree", "0"], "quad_degree", 0),
+    (["--epsilon", ""], "epsilons", (1e-4,)),  # an empty value leaves the default
     (["--serial"], "serial", True),
     (["--out", "results"], "out", "results"),
     (["--out", ""], "out", None),  # an empty --out keeps stdout

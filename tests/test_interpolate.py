@@ -20,7 +20,7 @@ from ncderham.interpolate import (
 )
 from ncderham.mesh import build_unit_cube_mesh, mesh_geometry
 from ncderham.quadrature import EDGE, TET, TRIANGLE, get_rule
-from ncderham.solvers import _level, build_spaces
+from ncderham.solvers import build_spaces
 from test_fields import _jittered_cube
 
 
@@ -31,7 +31,7 @@ def mesh2():
 
 @pytest.fixture(scope="module")
 def maps2(mesh2):
-    return {s: asm.build_dof_map(s, mesh2) for s in (P2, ND, RT, Q, PHI, W)}
+    return build_spaces(mesh2)
 
 
 def constant_vector(c):
@@ -122,9 +122,7 @@ def test_complex_products_vanish_exactly(maps2):
     div = diff_operator_matrix("div", maps2)
     assert abs(curl @ grad).max() <= 1e-12
     assert abs(div @ curl).max() <= 1e-12
-    level = {}
-    grad_nd = _level("grad_nd", maps2, level)
-    curl_nd = _level("curl_nd", maps2, level)
+    grad_nd, curl_nd = maps2["grad_nd"], maps2["curl_nd"]
     assert abs(curl_nd @ grad_nd).max() <= 1e-12
 
 
@@ -144,9 +142,8 @@ def test_nd_blocks_match_the_per_map_construction(name):
             *_circulation_rows(mesh, rmap.face_dofs, nmap.edge_dofs), (rmap.dim, nmap.dim)
         ),
     }
-    level = {}
     for kind, ref in references.items():
-        block = _level(kind, maps, level)
+        block = maps[kind]
         assert block.shape == ref.shape, kind
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, attr), getattr(ref, attr)), (kind, attr)
@@ -191,7 +188,7 @@ def test_curl_of_nd_interpolant_equals_curl(maps2):
     """The curl of a Phi function is that of its ND companion: no face
     enrichment enters it."""
     curl_phi = diff_operator_matrix("curl", maps2)
-    curl_nd = _level("curl_nd", maps2, {})
+    curl_nd = maps2["curl_nd"]
     assert curl_phi[:, maps2[ND].dim :].nnz == 0
     fe = FeFunction(maps2[PHI], np.random.default_rng(4).standard_normal(maps2[PHI].dim))
     diff = curl_nd @ nd_interpolant(fe).coeffs - curl_phi @ fe.coeffs

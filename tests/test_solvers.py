@@ -14,6 +14,10 @@ from ncderham.mesh import build_unit_cube_mesh
 from oracles import solve_saddle_lu
 from test_fields import _jittered_cube
 from ncderham.solvers import (
+    SADDLE_TOL,
+    SPACES,
+    SPD_TOL,
+    Level,
     SolverConfig,
     SolverFailure,
     VCycle,
@@ -49,44 +53,55 @@ def test_config_validation():
         SolverConfig(eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(method="magic")
-    with pytest.raises(ValueError):
-        SolverConfig(spd_tol=2.0)
+
+
+def test_build_spaces_returns_a_level_of_the_six_maps(setup2):
+    """A level maps each space tag to its DofMap on the level's mesh, and
+    an unknown kind raises instead of building anything."""
+    mesh, _ = setup2
+    level = build_spaces(mesh)
+    assert isinstance(level, Level) and level.mesh is mesh
+    assert list(level) == list(SPACES)
+    for s in SPACES:
+        assert isinstance(level[s], asm.DofMap)
+        assert level[s].space == s and level[s].mesh is mesh
+    with pytest.raises(asm.AssemblyError):
+        level["no_such_kind"]
+    assert list(level) == list(SPACES)
 
 
 def test_solve_spd_identity_and_tridiagonal():
-    cfg = SolverConfig()
     I = sp.eye(5, format="csr")
     b = np.arange(5.0)
-    assert np.allclose(solve_spd(I, b, cfg), b)
+    assert np.allclose(solve_spd(I, b), b)
     T = sp.csr_matrix(
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
-    x = solve_spd(T, np.ones(3), cfg)
+    x = solve_spd(T, np.ones(3))
     assert np.allclose(x, [1.5, 2.0, 1.5], atol=1e-10)
     stats = {}
-    solve_spd(T, np.ones(3), cfg, stats=stats)
+    solve_spd(T, np.ones(3), stats=stats)
     assert stats["iterations"] >= 1
 
 
 def test_solve_spd_contract_residual(setup2):
     mesh, maps = setup2
-    cfg = SolverConfig()
     S = asm.assemble_bilinear("poisson_p2", mesh, maps).matrix
     data = smooth_case_fields(1.0)
     # f = 3 pi^2 sin sin sin corresponds to the layer source; any smooth rhs works
     b = asm.assemble_load("f_vs_p2", mesh, maps, data["f"])
-    x = solve_spd(S, b, cfg)
+    x = solve_spd(S, b)
     assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b) * 10
 
 
-def test_solve_spd_failure_reports_history():
-    cfg = SolverConfig(spd_maxiter=2)
+def test_solve_spd_failure_reports_history(monkeypatch):
+    monkeypatch.setattr(solvers, "SPD_MAXITER", 2)
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 40))
     A = sp.csr_matrix(A @ A.T + 40 * np.eye(40))
     b = rng.standard_normal(40)
     with pytest.raises(SolverFailure) as exc:
-        solve_spd(A, b, cfg)
+        solve_spd(A, b)
     assert len(exc.value.residuals) >= 1
 
 
@@ -104,7 +119,7 @@ def test_solve_spd_records_a_drifted_true_residual(monkeypatch):
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
     stats = {}
-    x = solve_spd(T, np.ones(3), SolverConfig(), stats=stats)
+    x = solve_spd(T, np.ones(3), stats=stats)
     assert np.allclose(x, [1.5 + 1e-3, 2.0 + 1e-3, 1.5 + 1e-3])
     assert stats["reason"] == "drifted"
     assert stats["residual"] > stats["target"]
@@ -112,11 +127,10 @@ def test_solve_spd_records_a_drifted_true_residual(monkeypatch):
 
 def test_saddle_zero_rhs(setup2):
     mesh, maps = setup2
-    cfg = SolverConfig(eps=0.5)
     A = vector_form(mesh, maps, 0.5)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    phi, lam, p, nu, info = solve_saddle(A, C, D, np.zeros(maps[PHI].dim), cfg, maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, D, np.zeros(maps[PHI].dim), maps)
     assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
@@ -128,7 +142,6 @@ def test_saddle_manufactured_curl_free(setup2):
     """Matrix-vector oracle: plant the interpolant of a gradient field and
     recover it from the consistent right-hand side."""
     mesh, maps = setup2
-    cfg = SolverConfig(eps=0.7)
     A = vector_form(mesh, maps, 0.7)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
@@ -137,7 +150,7 @@ def test_saddle_manufactured_curl_free(setup2):
     grad = diff_operator_matrix("grad", maps)
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs_phi, cfg, maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs_phi, maps)
     assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
@@ -148,13 +161,12 @@ def test_saddle_manufactured_curl_free(setup2):
 def test_saddle_tiny_eps_robustness(setup2):
     mesh, maps = setup2
     eps = 1e-10
-    cfg = SolverConfig(eps=eps)
     A = vector_form(mesh, maps, eps)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs, cfg, maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs, maps)
     assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
@@ -188,7 +200,7 @@ def test_reduced_mode_matches_direct(setup2):
     """The complex-based reduction reproduces the monolithic factorization."""
     mesh, maps = setup2
     grad = diff_operator_matrix("grad", maps)
-    curl_nd = solvers._level("curl_nd", maps, {})
+    curl_nd = maps["curl_nd"]
     rng = np.random.default_rng(7)
     for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
         A = vector_form(mesh, maps, eps, mass)
@@ -199,9 +211,8 @@ def test_reduced_mode_matches_direct(setup2):
         phistar = grad @ rng.standard_normal(maps[W].dim)
         pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
         rhs = A @ phistar + C @ pstar
-        cfg = SolverConfig(eps=eps)
-        phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs, cfg)
-        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, D, rhs, cfg, maps)
+        phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs)
+        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, D, rhs, maps)
         assert info_d["mode"] == "direct" and info["mode"] == "reduced"
         scale = max(1.0, np.abs(phi_d).max())
         assert np.abs(phi_r - phi_d).max() <= 1e-7 * scale
@@ -215,13 +226,13 @@ def test_stage_matrices_shared(setup2):
     mesh, maps = setup2
     data = smooth_case_fields(1.0)
     cfg = SolverConfig(eps=1.0)
-    forms = {}
-    decoupled_solve(data["f"], mesh, cfg, maps, forms)
+    level = build_spaces(mesh)
+    decoupled_solve(data["f"], mesh, cfg, level)
     # one stiffness serves stages one and four
-    assert "poisson_p2" in forms
-    n_before = len(forms)
-    decoupled_solve(data["f"], mesh, cfg, maps, forms)
-    assert len(forms) == n_before
+    assert "poisson_p2" in level
+    n_before = len(level)
+    decoupled_solve(data["f"], mesh, cfg, level)
+    assert len(level) == n_before
 
 
 def _same_csr(a, b):
@@ -237,19 +248,18 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
     scipy's CSC transposes that they replace; the transposes apply as the
     ``.T`` products did."""
     mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(int(name[4:]))
-    maps, forms = build_spaces(mesh), {}
-    G, Knd, Gnd, Mrt = (solvers._level(k, maps, forms)
-                        for k in ("grad", "curl_nd", "grad_nd", "rt_mass"))
+    maps = build_spaces(mesh)
+    G, Knd, Gnd, Mrt = (maps[k] for k in ("grad", "curl_nd", "grad_nd", "rt_mass"))
     A = vector_form(mesh, maps, 0.3).copy()
     reference = {
         "flux_curl_curl": solvers._symmetric_part((Knd.T @ (Mrt @ Knd)).tocsr()),
         "projection_laplacian": (Gnd.T @ Gnd).tocsr(),
     }
     for kind, ref in reference.items():
-        assert _same_csr(solvers._level(kind, maps, forms), ref), kind
+        assert _same_csr(maps[kind], ref), kind
     rng = np.random.default_rng(5)
     for kind, op in (("grad_t", G), ("grad_nd_t", Gnd)):
-        Ot = solvers._level(kind, maps, forms)
+        Ot = maps[kind]
         assert _same_csr(Ot, op.T.tocsr()), kind
         v = rng.standard_normal(op.shape[0])
         assert np.array_equal(Ot @ v, op.T @ v), kind
@@ -264,19 +274,19 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rhs = A @ (G @ rng.standard_normal(maps[W].dim))
-    solve_saddle(A, C, D, rhs, SolverConfig(eps=0.3), maps, forms)
+    solve_saddle(A, C, D, rhs, maps)
     potential, projection = matrices[:2]
     assert _same_csr(potential, solvers._symmetric_part((G.T @ (A @ G)).tocsr()))
-    assert projection is solvers._level("projection_laplacian", maps, forms)
+    assert projection is maps["projection_laplacian"]
 
 
 @pytest.fixture(scope="module")
 def level_reuse():
-    """Smooth n=4 solves at eps=1, then eps=1e-4, on one level cache, with
-    both V-cycles forced on and every build of a form, an operator of the
+    """Smooth n=4 solves at eps=1, then eps=1e-4, on one level, with both
+    V-cycles forced on and every build of a form, an operator of the
     complex, a transfer or a kind of the level table counted."""
     mesh = build_unit_cube_mesh(4)
-    maps, forms = build_spaces(mesh), {}
+    level = build_spaces(mesh)
     built, cycles = [], []
 
     def counting(label, build):
@@ -299,14 +309,14 @@ def level_reuse():
         mp.setattr(solvers, "_LEVEL_KINDS", {
             k: counting(k, b) for k, b in solvers._LEVEL_KINDS.items()})
         first = decoupled_solve(smooth_case_fields(1.0)["f"], mesh,
-                                SolverConfig(eps=1.0), maps, forms)
-        cached, count = dict(forms), len(built)
+                                SolverConfig(eps=1.0), level)
+        cached, count = dict(level), len(built)
         second = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
-                                 SolverConfig(eps=1e-4), maps, forms)
+                                 SolverConfig(eps=1e-4), level)
         built_again = built[count:]
         fresh = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
-                                SolverConfig(eps=1e-4), build_spaces(mesh), {})
-    return {"maps": maps, "forms": forms, "cached": cached,
+                                SolverConfig(eps=1e-4), build_spaces(mesh))
+    return {"level": level, "cached": cached,
             "built": built[:count], "built_again": built_again, "cycles": cycles,
             "solves": (first, second, fresh)}
 
@@ -314,7 +324,7 @@ def level_reuse():
 def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
     """Every kind of the level table is built on the level's first solve,
     and each operator of the complex once; the second solve forms none of
-    them, nor any form or transfer, and finds the same objects in the cache.
+    them, nor any form or transfer, and finds the same objects in the level.
     The W potential's cycle is rebuilt (its matrix depends on eps) from the
     level's transfers."""
     r = level_reuse
@@ -322,9 +332,9 @@ def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
     # grad, curl and div, once each: the ND blocks are slices of grad and curl
     assert r["built"].count("diff_operator_matrix") == 3
     assert r["built_again"] == []
-    assert r["forms"].keys() == r["cached"].keys()
-    assert all(r["forms"][k] is v for k, v in r["cached"].items())
-    w_dim = r["maps"][W].dim
+    assert r["level"].keys() == r["cached"].keys()
+    assert all(r["level"][k] is v for k, v in r["cached"].items())
+    w_dim = r["level"][W].dim
     w_cycles = [c for c in r["cycles"] if c.shape[0] == w_dim]
     assert len(w_cycles) == 3  # one per saddle solve
     first, second = w_cycles[:2]
@@ -332,8 +342,8 @@ def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
 
 
 def test_a_shared_level_solves_as_a_fresh_one(level_reuse):
-    """eps=1e-4 after eps=1 on one cache gives the bits of eps=1e-4 on a
-    fresh cache: the same phi_h and u_h and the same Krylov records, set-up
+    """eps=1e-4 after eps=1 on one level gives the bits of eps=1e-4 on a
+    fresh level: the same phi_h and u_h and the same Krylov records, set-up
     seconds aside."""
     _, shared, fresh = level_reuse["solves"]
     for key in ("w_h", "phi_h", "p_h", "u_h"):
@@ -355,12 +365,12 @@ INTERP_FORMS = ("poisson_p2", "phi_stiffness", "ind_mass", "curl_coupling",
 
 @pytest.fixture(scope="module")
 def prefilled_level():
-    """A Kuhn n=4 level whose cache comes pre-filled with the interp forms
-    as ``assemble_bilinear`` returns them, solved once with both V-cycles
-    forced on and every call of ``assemble_bilinear`` counted."""
+    """A Kuhn n=4 level solved once with the interp forms assembled up
+    front, as ``assemble_bilinear`` returns them, both V-cycles forced on
+    and every call of ``assemble_bilinear`` counted."""
     mesh = build_unit_cube_mesh(4)
-    maps = build_spaces(mesh)
-    forms = {k: asm.assemble_bilinear(k, mesh, maps) for k in INTERP_FORMS}
+    level = build_spaces(mesh)
+    forms = {k: asm.assemble_bilinear(k, mesh, level) for k in INTERP_FORMS}
     prefilled = dict(forms)
     assembled = []
 
@@ -372,35 +382,36 @@ def prefilled_level():
         mp.setattr(solvers, "_takes_multigrid", lambda mesh: True)
         mp.setattr(asm, "assemble_bilinear", counting)
         decoupled_solve(smooth_case_fields(1.0)["f"], mesh, SolverConfig(eps=1.0),
-                        maps, forms)
-    return maps, forms, prefilled, assembled
+                        level, forms)
+    return level, forms, prefilled, assembled
 
 
 def test_a_prefilled_level_cache_is_used_as_it_is(prefilled_level):
-    """``decoupled_solve`` assembles no form of a pre-filled cache again and
-    reads each one's matrix through ``_level``."""
-    maps, forms, prefilled, assembled = prefilled_level
+    """``decoupled_solve`` adopts the forms a caller assembled up front:
+    it assembles none of them again, leaves the caller's dict as it was,
+    and the level keeps each one's matrix."""
+    level, forms, prefilled, assembled = prefilled_level
     assert assembled == []
     for kind, form in prefilled.items():
         assert forms[kind] is form
-        assert solvers._level(kind, maps, forms) is form.matrix
+        assert level[kind] is form.matrix
 
 
 def test_every_level_kind_builds_once(prefilled_level):
     """With multigrid forced on, one solve builds every kind of the level
-    table and every operator of the complex; a second ``_level`` call
-    returns the identical object."""
-    maps, forms, _, _ = prefilled_level
+    table and every operator of the complex; a second lookup returns the
+    identical object."""
+    level, _, _, _ = prefilled_level
     kinds = (*solvers._LEVEL_KINDS, "grad", "curl", "div")
-    assert set(kinds) <= set(forms)
+    assert set(kinds) <= set(level)
     for kind in kinds:
-        found = solvers._level(kind, maps, forms)
-        assert found is forms[kind] and solvers._level(kind, maps, forms) is found
-    assert isinstance(forms["p2_cycle"], VCycle)
-    assert all(a is b for a, b in zip(forms["p2_cycle"].transfers[1:],
-                                      forms["p1_prolongations"], strict=True))
-    assert forms["grad_nd"].shape == (maps[ND].dim, maps[P2].dim)
-    assert forms["curl_nd"].shape == (forms["curl"].shape[0], maps[ND].dim)
+        found = level[kind]
+        assert found is dict.__getitem__(level, kind) and level[kind] is found
+    assert isinstance(level["p2_cycle"], VCycle)
+    assert all(a is b for a, b in zip(level["p2_cycle"].transfers[1:],
+                                      level["p1_prolongations"], strict=True))
+    assert level["grad_nd"].shape == (level[ND].dim, level[P2].dim)
+    assert level["curl_nd"].shape == (level["curl"].shape[0], level[ND].dim)
 
 
 def test_inner_stops_end_the_small_eps_flux_stall(setup4):
@@ -414,20 +425,20 @@ def test_inner_stops_end_the_small_eps_flux_stall(setup4):
     assert saddle["krylov"]
     assert all(r["reason"] == "converged" for r in saddle["krylov"])
     assert [r["iterations"] for r in saddle["krylov"] if r["stage"] == "flux"] == [0]
-    assert saddle["residuals"][-1] <= cfg.saddle_tol
+    assert saddle["residuals"][-1] <= SADDLE_TOL
 
 
 def test_inner_stops_are_certificate_scaled(setup4):
-    """Every inner solve of the reduced saddle stops at spd_tol times the
+    """Every inner solve of the reduced saddle stops at SPD_TOL times the
     saddle's data scale, unless its own relative stop is the looser one
     (the first potential solve, whose right-hand side is the data itself)."""
     mesh, maps = setup4
     cfg = SolverConfig(eps=1.0)
     sol = decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
     rhs_phi = asm.assemble_load("gradw_vs_indphi", mesh, maps, sol.w_h)
-    atol = cfg.spd_tol * (1.0 + np.linalg.norm(rhs_phi))
+    atol = SPD_TOL * (1.0 + np.linalg.norm(rhs_phi))
     grad = diff_operator_matrix("grad", maps)
-    first_potential = max(atol, cfg.spd_tol * np.linalg.norm(grad.T @ rhs_phi))
+    first_potential = max(atol, SPD_TOL * np.linalg.norm(grad.T @ rhs_phi))
 
     records = sol.diagnostics["krylov"]
     assert records[0]["stage"] == "poisson_w"
@@ -445,19 +456,19 @@ def test_inner_stops_are_certificate_scaled(setup4):
             assert r["target"] == atol
 
 
-def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
+def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2, monkeypatch):
     """A flux solve that hits maxiter is not judged by a floor of its own:
     the refinement and the certificate decide, and the failure names it."""
     mesh, maps = setup2
-    curl_nd = solvers._level("curl_nd", maps, {})
+    curl_nd = maps["curl_nd"]
     A = vector_form(mesh, maps, 0.6)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     # a pure flux right-hand side: the potential solves take no iterations
     pstar = curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
-    cfg = SolverConfig(eps=0.6, spd_maxiter=5)
+    monkeypatch.setattr(solvers, "SPD_MAXITER", 5)
     with pytest.raises(SolverFailure) as exc:
-        solve_saddle(A, C, D, C @ pstar, cfg, maps)
+        solve_saddle(A, C, D, C @ pstar, maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
     # the refinement stops at its fourth residual: three corrections, and no
     # fourth that nothing would measure
@@ -465,11 +476,11 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2):
     assert "sweep 4" not in str(exc.value)
 
 
-def test_inner_solve_failure_names_its_stage(setup4):
+def test_inner_solve_failure_names_its_stage(setup4, monkeypatch):
     mesh, maps = setup4
-    cfg = SolverConfig(eps=1.0, spd_maxiter=3)
+    monkeypatch.setattr(solvers, "SPD_MAXITER", 3)
     with pytest.raises(SolverFailure) as exc:
-        decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
+        decoupled_solve(smooth_case_fields(1.0)["f"], mesh, SolverConfig(eps=1.0), maps)
     assert str(exc.value).startswith("stage 1 (poisson w): ")
     assert exc.value.residuals
 
@@ -483,7 +494,7 @@ def potential_matrix(mesh, maps, eps):
 def w_transfers(mesh):
     """The V-cycle's transfers on ``mesh``: W from the P1 vertex space, then
     P1 down the Kuhn hierarchy."""
-    return solvers._level("w_transfers", build_spaces(mesh), {})
+    return build_spaces(mesh)["w_transfers"]
 
 
 def assert_symmetric_and_positive(B, rng):
@@ -509,17 +520,17 @@ def test_p2_cycle_is_symmetric_and_shares_the_p1_chain(setup4):
     """The P2 Poisson cycle starts from the P1 vertex space as the W one
     does; both cycles of a level share one P1 prolongation chain, and the
     set-up time goes to the first record only."""
-    mesh, maps = setup4
-    cache = {}
-    B = solvers._level("p2_cycle", maps, cache)
-    assert solvers._level("p2_cycle", maps, cache) is B
-    assert [P.shape for P in B.transfers] == [(maps[P2].dim, 27), (27, 1)]
-    w_chain = solvers._level("w_transfers", maps, cache)[1:]
+    mesh, _ = setup4
+    level = build_spaces(mesh)
+    B = level["p2_cycle"]
+    assert level["p2_cycle"] is B
+    assert [P.shape for P in B.transfers] == [(level[P2].dim, 27), (27, 1)]
+    w_chain = level["w_transfers"][1:]
     assert all(a is b for a, b in zip(B.transfers[1:], w_chain, strict=True))
     assert_symmetric_and_positive(B, np.random.default_rng(13))
     first, second = B.record(), B.record()
     assert first["setup_s"] > 0 and second["setup_s"] == 0.0
-    assert first["coarse_dims"] == second["coarse_dims"] == [maps[P2].dim, 27, 1]
+    assert first["coarse_dims"] == second["coarse_dims"] == [level[P2].dim, 27, 1]
 
 
 def test_symmetric_part_and_roundoff_filter_keep_their_references_bits(setup4):
@@ -592,7 +603,7 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
     """At n=8, eps=1 the potential needs at most 100 MG-PCG iterations and
     the saddle one sweep.  Its first record may read drifted: rounding the
     solution to double already leaves a residual of about 1e-9, above the
-    1.8e-10 target of spd_tol * ||rhs||."""
+    1.8e-10 target of SPD_TOL * ||rhs||."""
     _, _, sol = stiff_n8
     potentials = [r for r in sol.diagnostics["krylov"] if r["stage"] == "potential"]
     assert [r["sweep"] for r in potentials] == [1]
@@ -602,7 +613,7 @@ def test_multigrid_potential_takes_one_sweep(stiff_n8):
         assert r["coarse_dims"] == [sol.diagnostics["dims"][W], 7**3, 3**3, 1]
         assert 1 <= r["iterations"] <= 100
     saddle = sol.diagnostics["saddle"]
-    assert saddle["residuals"][-1] <= SolverConfig().saddle_tol
+    assert saddle["residuals"][-1] <= SADDLE_TOL
     poisson = [r for r in sol.diagnostics["krylov"] if r["stage"].startswith("poisson")]
     assert [r["preconditioner"] for r in poisson] == ["multigrid"] * 2
     assert all(r["coarse_dims"] == [sol.diagnostics["dims"][P2], 7**3, 3**3, 1]
@@ -644,15 +655,15 @@ def test_n8_keeps_jacobi_on_every_stage():
 
 @pytest.fixture(scope="module")
 def smooth_n16():
-    """Two n=16, eps=1e-4 smooth solves on one level cache."""
+    """Two n=16, eps=1e-4 smooth solves on one level."""
     mesh = build_unit_cube_mesh(16)
-    maps, forms = build_spaces(mesh), {}
+    level = build_spaces(mesh)
     f = smooth_case_fields(1e-4)["f"]
     config = SolverConfig(eps=1e-4)
-    first = decoupled_solve(f, mesh, config, maps, forms)
-    cycle = forms["p2_cycle"]
-    second = decoupled_solve(f, mesh, config, maps, forms)
-    return first, second, cycle, forms
+    first = decoupled_solve(f, mesh, config, level)
+    cycle = level["p2_cycle"]
+    second = decoupled_solve(f, mesh, config, level)
+    return first, second, cycle, level
 
 
 def test_p2_poisson_takes_the_multigrid_cycle_at_n16(smooth_n16):
@@ -672,8 +683,8 @@ def test_p2_poisson_takes_the_multigrid_cycle_at_n16(smooth_n16):
 def test_p2_cycle_is_built_once_per_level(smooth_n16):
     """The second solve on the level reuses the first one's cycle, so its
     Poisson records show no set-up; so does the first solve's poisson_u."""
-    first, second, cycle, forms = smooth_n16
-    assert forms["p2_cycle"] is cycle
+    first, second, cycle, level = smooth_n16
+    assert level["p2_cycle"] is cycle
     setups = [[r["setup_s"] for r in sol.diagnostics["krylov"]
                if r["stage"].startswith("poisson")] for sol in (first, second)]
     assert setups[0][0] > 0

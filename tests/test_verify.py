@@ -55,7 +55,7 @@ def test_check_commuting(n):
 
 
 def test_check_weak_continuity(mesh2):
-    rep = check_weak_continuity(mesh2, nsamples=5)
+    rep = check_weak_continuity(mesh2)
     assert rep.passed, rep.to_text()
 
 
@@ -67,7 +67,7 @@ def test_weak_continuity_detects_orientation_corruption(mesh2):
     try:
         mesh2.tet_edge_vertices[3, 2] = mesh2.tet_edge_vertices[3, 2][::-1]
         mesh2._geometry = None
-        rep = check_weak_continuity(mesh2, nsamples=3)
+        rep = check_weak_continuity(mesh2)
         assert not rep.passed
     finally:
         mesh2.tet_edge_vertices[:] = saved
@@ -75,7 +75,7 @@ def test_weak_continuity_detects_orientation_corruption(mesh2):
 
 
 def test_check_unisolvence_small():
-    rep = check_unisolvence(ntets=20)
+    rep = check_unisolvence()
     assert rep.passed, rep.to_text()
 
 
