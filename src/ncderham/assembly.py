@@ -237,8 +237,8 @@ _LOADS = {
 }
 
 
-def assemble_load(kind, mesh, dofmaps, data):
-    """Assemble a load vector.
+def assemble_load(kind, dofmaps, data):
+    """Assemble a load vector on the mesh of its target DofMap in ``dofmaps``.
 
     ``data`` is an analytic scalar field for ``f_vs_p2`` and a discrete
     function (object with ``dofmap`` and ``coeffs``) otherwise.
@@ -246,9 +246,10 @@ def assemble_load(kind, mesh, dofmaps, data):
     if kind not in _LOADS:
         raise AssemblyError(f"unknown load kind {kind!r}")
     space, source, degree, test, gradients = _LOADS[kind]
-    if space not in dofmaps or dofmaps[space].mesh is not mesh:
-        raise AssemblyError(f"missing or mismatched DofMap for space {space!r}")
+    if space not in dofmaps:
+        raise AssemblyError(f"missing DofMap for space {space!r}")
     target = dofmaps[space]
+    mesh = target.mesh
     rule = get_rule(TET, degree)
     w, pts = rule.weights, rule.points
 

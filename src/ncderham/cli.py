@@ -67,8 +67,9 @@ class StudyConfig:
         for name in ("epsilons", "levels", "formats"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
+        # type(n) is int, as a bool is an int too: a JSON true is no level or seed
         for n in self.levels:
-            if n < 1 or (n & (n - 1)) != 0:
+            if type(n) is not int or n < 1 or (n & (n - 1)) != 0:
                 raise ConfigError(f"levels must be powers of two, got {n}")
         # a rate is per halving of h, so each level must double the last
         for a, b in zip(self.levels, self.levels[1:]):
@@ -90,9 +91,9 @@ class StudyConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         levels = self.verify_levels
-        if not levels or not all(isinstance(n, int) and n >= 1 for n in levels):
+        if not levels or not all(type(n) is int and n >= 1 for n in levels):
             raise ConfigError(f"verify_levels must be positive integers, got {levels!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.out == "":  # as with no --out: the report goes to stdout
             self.out = None
@@ -185,14 +186,16 @@ def run_verify(config):
     t0 = time.perf_counter()
     report = CertificationReport()
     check_unisolvence(report, seed=config.seed)
+    # one level per verify n, shared by its checks
+    levels = {n: build_spaces(build_unit_cube_mesh(n)) for n in set(config.verify_levels)}
     for n in config.verify_levels:
         sub = CertificationReport()
-        mesh = build_unit_cube_mesh(n)
-        check_complex(mesh, sub)
-        check_commuting(mesh, sub)
-        check_weak_continuity(mesh, sub, seed=config.seed)
+        level = levels[n]
+        check_complex(level, sub)
+        check_commuting(level, sub)
+        check_weak_continuity(level, sub, seed=config.seed)
         if config.infsup:
-            check_infsup(mesh, report=sub)
+            check_infsup(level, report=sub)
         elif n == config.verify_levels[0]:
             sub.add(
                 "infsup.skipped", True, 0.0, 0.0,
@@ -201,13 +204,12 @@ def run_verify(config):
         for c in sub.checks:
             report.add(f"n{n}.{c.name}", c.passed, c.value, c.tolerance, c.detail)
     n = max(config.verify_levels)
-    mesh = build_unit_cube_mesh(n)
-    level = build_spaces(mesh)  # shared by the four solves and their checks
+    level = levels[n]  # the checked level serves the four solves and their checks
     for method in ("interp", "nointerp"):
         for eps in (1.0, 1e-6):
             scfg = SolverConfig(eps=eps, method=method)
             fields = smooth_case_fields(eps)
-            sol = decoupled_solve(fields["f"], mesh, scfg, level)
+            sol = decoupled_solve(fields["f"], level.mesh, scfg, level)
             sub = CertificationReport()
             check_solution_identities(sol, level, sub)
             for c in sub.checks:

@@ -176,11 +176,8 @@ def shape_gradients(kind, geom, bary):
             out[:, :, k::3, k, :] = geom.grad_lambda[:, None, :, :]
         return out
     if kind == PHI_NC:
-        p1 = np.zeros((T, P, 12, 3, 3))
-        for k in range(3):
-            p1[:, :, k::3, k, :] = geom.grad_lambda[:, None, :, :]
         enr = mono_hessians(bary, _QUINTIC, geom.grad_lambda)
-        return np.concatenate([p1, enr], axis=-3)
+        return np.concatenate([shape_gradients(NEDELEC2, geom, bary), enr], axis=-3)
     if kind == RT0:
         out = np.zeros((T, P, 4, 3, 3))
         out[:, :, 3] = np.eye(3)

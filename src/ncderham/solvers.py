@@ -47,7 +47,7 @@ class SolverConfig:
     saddle_tol: ClassVar[float] = SADDLE_TOL  # not a field; the benchmark reads it
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        if isinstance(self.eps, bool) or not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.method not in ("interp", "nointerp"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -264,7 +264,7 @@ def _lanczos_max(A, inv_diag):
     return float(np.linalg.eigvalsh(T)[-1])
 
 
-def solve_saddle(A, C, D, rhs_phi, level):
+def solve_saddle(A, C, rhs_phi, level):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
@@ -272,8 +272,8 @@ def solve_saddle(A, C, D, rhs_phi, level):
         [ C^T -D^T 0   0 ] [p  ]   [0]
         [ 0   e^T  0   0 ] [nu ]   [0]
 
-    where e holds the cell measures (zero-mean constraint on lam).
-    Returns (phi, lam, p, nu, info).
+    where D is the level's ``div_coupling`` and e holds the cell measures
+    (zero-mean constraint on lam).  Returns (phi, lam, p, nu, info).
 
     The solve is an exact reduction through the discrete complex (the
     kernel of the coupling is the gradient range).  The multiplier block
@@ -284,7 +284,7 @@ def solve_saddle(A, C, D, rhs_phi, level):
     by the residual of the full block system, so correctness never rests on
     the reduction argument alone.
 
-    Every operator that does not depend on eps -- the complex's operators,
+    Every operator that does not depend on eps -- D, the complex's operators,
     their transposes, the flux curl-curl, the projection Laplacian and,
     where ``_takes_multigrid``, the potential's V-cycle transfers -- is read
     from ``level`` (``build_spaces``), so the solves of a level form them
@@ -296,10 +296,10 @@ def solve_saddle(A, C, D, rhs_phi, level):
     Ared = _symmetric_part(_sorted(Gt @ (A @ G)))
     # the other operators after Ared: on a level's first solve the products
     # that form Z then do not overlap those of Ared (the n=32 peak)
-    Knd, Gnd, Gnd_t, Z, L = (
+    D, Knd, Gnd, Gnd_t, Z, L = (
         level[kind]
-        for kind in ("curl_nd", "grad_nd", "grad_nd_t", "flux_curl_curl",
-                     "projection_laplacian")
+        for kind in ("div_coupling", "curl_nd", "grad_nd", "grad_nd_t",
+                     "flux_curl_curl", "projection_laplacian")
     )
     multigrid = _takes_multigrid(level.mesh)  # else Jacobi
     nd_dim = Knd.shape[1]
@@ -489,7 +489,7 @@ def _stage(label, t0, solve, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def decoupled_solve(f_field, mesh, config, level=None, forms=None):
+def decoupled_solve(f_field, mesh, config, level, forms=None):
     """Run the four decoupled stages for source ``f_field``.
 
     Stage 1 and 4 are quadratic-Lagrange Poisson solves sharing one
@@ -503,13 +503,14 @@ def decoupled_solve(f_field, mesh, config, level=None, forms=None):
     """
     if not isinstance(f_field, AnalyticField):
         raise TypeError("f_field must be an AnalyticField")
+    if level.mesh is not mesh:
+        raise asm.AssemblyError("the level is built on a different mesh")
     t_start = time.perf_counter()
-    level = level if level is not None else build_spaces(mesh)
     for kind, form in (forms or {}).items():
         level.setdefault(kind, form.matrix)
 
     S = level["poisson_p2"]
-    b_f = asm.assemble_load("f_vs_p2", mesh, level, f_field)
+    b_f = asm.assemble_load("f_vs_p2", level, f_field)
     poisson_w = {}
     t0 = time.perf_counter()
     S_cycle = level["p2_cycle"] if _takes_multigrid(mesh) else None
@@ -523,20 +524,18 @@ def decoupled_solve(f_field, mesh, config, level=None, forms=None):
     # copied so that it holds only its own entries (see _symmetric_part)
     A = ((config.eps**2) * stiff + mass).copy()
     C = level["curl_coupling" if interp else "curl_coupling_plain"]
-    D = level["div_coupling"]
     rhs_phi = asm.assemble_load(
-        "gradw_vs_indphi" if interp else "gradw_vs_phi", mesh, level, w_h
+        "gradw_vs_indphi" if interp else "gradw_vs_phi", level, w_h
     )
     (phi, lam, p, nu, saddle_info), t_saddle = _stage(
-        "stage 2 (saddle)", time.perf_counter(), solve_saddle,
-        A, C, D, rhs_phi, level,
+        "stage 2 (saddle)", time.perf_counter(), solve_saddle, A, C, rhs_phi, level,
     )
     phi_h = FeFunction(level[PHI], phi)
     lambda_h = FeFunction(level[Q], lam)
     p_h = FeFunction(level[RT], p)
 
     b_u = asm.assemble_load(
-        "indphi_vs_gradp2" if interp else "phi_vs_gradp2", mesh, level, phi_h
+        "indphi_vs_gradp2" if interp else "phi_vs_gradp2", level, phi_h
     )
     poisson_u = {}
     u, t_u = _stage("stage 4 (poisson u)", time.perf_counter(), solve_spd, S, b_u,
@@ -572,8 +571,7 @@ def solution_identity_norms(sol, level):
     of the scalar solve, and the vector unknown is curl-free.  The
     operators and forms come from ``level``, the solve's ``build_spaces``.
     """
-    mesh = sol.w_h.dofmap.mesh
-    vols = asm.q_weights(mesh)
+    vols = asm.q_weights(level.mesh)
 
     lam_norm = float(np.sqrt(vols @ sol.lambda_h.coeffs**2))
     divp = level["div"] @ sol.p_h.coeffs

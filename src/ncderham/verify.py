@@ -1,7 +1,8 @@
 """Numerical certification of the structural properties of the discrete
 complex: composition-zero and rank identities, commuting interpolation,
 weak continuity across faces, unisolvence, an optional inf-sup constant,
-and the algebraic identities of solved systems."""
+and the algebraic identities of solved systems.  A check of one mesh takes
+its level, ``solvers.build_spaces``, and reads the mesh from it."""
 
 import itertools
 import json
@@ -18,7 +19,7 @@ from .assembly import ND, PHI, Q, RT, W
 from .interpolate import FeFunction, fe_values
 from .mesh import build_mesh_from_tets, mesh_geometry
 from .quadrature import TRIANGLE, get_rule
-from .solvers import build_spaces, gradient_range_residual, solution_identity_norms
+from .solvers import gradient_range_residual, solution_identity_norms
 
 RANK_TOL = 1e-8  # singular values below RANK_TOL * the largest count as zero
 COMMUTING_TOL = 1e-10
@@ -99,10 +100,9 @@ def face_jump_means(fe):
     return (sides[0] - sides[1]) * areas.reshape((-1,) + (1,) * (sides[0].ndim - 1))
 
 
-def check_complex(mesh, report=None):
+def check_complex(level, report=None):
     """Composition-zero, injectivity/rank and exactness counts (dense)."""
     report = report if report is not None else CertificationReport()
-    level = build_spaces(mesh)
     if level[PHI].dim > 2000:
         raise MemoryError(
             "dense rank checks are limited to small meshes (n <= 2); "
@@ -115,7 +115,7 @@ def check_complex(mesh, report=None):
     report.add("complex.curl_grad_zero", cg <= 1e-12, float(cg), 1e-12)
     report.add("complex.div_curl_zero", dc <= 1e-12, float(dc), 1e-12)
 
-    nv, ne, nf = mesh.interior_counts()
+    nv, ne, nf = level.mesh.interior_counts()
 
     def rank(mat):
         if min(mat.shape) == 0:
@@ -174,7 +174,7 @@ def _rel_dev(lhs, rhs):
     return float(np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0))
 
 
-def check_commuting(mesh, report=None):
+def check_commuting(level, report=None):
     """Per-element DoF identities for a basis of cubic test fields.
 
     grad route: the Phi DoFs of the gradient of the locally interpolated
@@ -185,7 +185,7 @@ def check_commuting(mesh, report=None):
     """
     report = report if report is not None else CertificationReport()
     tol = COMMUTING_TOL
-    geom = mesh_geometry(mesh)
+    geom = mesh_geometry(level.mesh)
     Cw = el.nodal_coefficients(el.W_NC, geom)
     Cphi = el.nodal_coefficients(el.PHI_NC, geom)
 
@@ -230,7 +230,7 @@ def check_commuting(mesh, report=None):
         "commuting.edge_restriction_is_canonical", worst_ind <= tol, worst_ind, tol,
         detail="edge DoFs of the enriched interpolant match the tangential interpolant",
     )
-    _check_commuting_global(mesh, report, tol)
+    _check_commuting_global(level, report, tol)
     return report
 
 
@@ -250,9 +250,8 @@ def _bubble_compatible_fields():
     return scalar, fl.gradient_field(scalar), vec, fl.curl_field(vec)
 
 
-def _check_commuting_global(mesh, report, tol):
+def _check_commuting_global(level, report, tol):
     """Global interior-DoF identities for boundary-compatible fields."""
-    level = build_spaces(mesh)
     scalar, grad_field, vec, curl = _bubble_compatible_fields()
 
     iw = itp.canonical_interpolate(level[W], scalar)
@@ -279,10 +278,10 @@ def _check_commuting_global(mesh, report, tol):
     )
 
 
-def check_weak_continuity(mesh, report=None, seed=1234):
+def check_weak_continuity(level, report=None, seed=1234):
     """Face means of jumps vanish for random members of the vector space."""
     report = report if report is not None else CertificationReport()
-    dofmap = asm.build_dof_map(PHI, mesh)
+    dofmap = level[PHI]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(WEAK_CONTINUITY_SAMPLES):
@@ -330,14 +329,13 @@ def check_unisolvence(report=None, seed=4321):
     return report
 
 
-def check_infsup(mesh, report=None):
+def check_infsup(level, report=None):
     """Dense smallest generalized singular value of the coupling form.
 
     There is no reference value; the testable claims are positivity and
     mesh stability, reported for each perturbation parameter in ``INFSUP_EPS``.
     """
     report = report if report is not None else CertificationReport()
-    level = build_spaces(mesh)
     if level[PHI].dim > 2000:
         raise MemoryError("inf-sup check is dense; use n <= 2")
     S, Mnd, Mrt, Ccoup, Kop, Dop = (
@@ -345,7 +343,7 @@ def check_infsup(mesh, report=None):
         for kind in ("phi_stiffness", "ind_mass", "rt_mass", "curl_coupling",
                      "curl", "div")
     )
-    vols = asm.q_weights(mesh)
+    vols = asm.q_weights(level.mesh)
     Kc = Kop.T @ Mrt @ Kop
     D = vols[:, None] * Dop  # (mu_k, div q_j) = |T_k| (div q_j)|_k
     Y = Mrt + Dop.T @ (vols[:, None] * Dop)

@@ -11,7 +11,8 @@ def lu_saddle(monkeypatch):
     ``solvers.solve_saddle`` up at call time, through the monolithic LU
     oracle ``solve_saddle_lu``."""
 
-    def solve(A, C, D, rhs_phi, level):
+    def solve(A, C, rhs_phi, level):
+        D = level["div_coupling"]
         return solve_saddle_lu(A, C, D, q_weights(level.mesh), rhs_phi)
 
     monkeypatch.setattr(solvers, "solve_saddle", solve)

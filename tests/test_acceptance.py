@@ -98,7 +98,7 @@ def table2():
 def test_criterion_1_structural_identities():
     failures = []
     for n in (1, 2):
-        rep = check_complex(build_unit_cube_mesh(n))
+        rep = check_complex(build_spaces(build_unit_cube_mesh(n)))
         for c in rep.checks:
             if not c.passed:
                 failures.append(f"n={n}: {c.line()}")
@@ -113,7 +113,7 @@ def test_criterion_1_structural_identities():
 def test_criterion_2_commuting_diagrams():
     failures = []
     for n in (1, 2):
-        rep = check_commuting(build_unit_cube_mesh(n))
+        rep = check_commuting(build_spaces(build_unit_cube_mesh(n)))
         for c in rep.checks:
             if not c.passed:
                 failures.append(f"n={n}: {c.line()}")

@@ -230,7 +230,7 @@ def test_symmetric_forms_scatter_within_a_small_multiple_of_their_size():
 
 def test_load_constant_matches_exact_integrals(mesh2, maps2):
     const = AnalyticField("one", 1, lambda X: np.ones(X.shape[0]))
-    load = asm.assemble_load("f_vs_p2", mesh2, maps2, const)
+    load = asm.assemble_load("f_vs_p2", maps2, const)
     # oracle: integral of each nodal basis function from exact monomial means
     geom = mesh_geometry(mesh2)
     C = el.nodal_coefficients(el.LAGRANGE_P2, geom)
@@ -245,13 +245,13 @@ def test_load_constant_matches_exact_integrals(mesh2, maps2):
 
 def test_load_zero_function_and_enrichment_annihilation(mesh2, maps2):
     w0 = FeFunction(maps2[P2], np.zeros(maps2[P2].dim))
-    load = asm.assemble_load("gradw_vs_indphi", mesh2, maps2, w0)
+    load = asm.assemble_load("gradw_vs_indphi", maps2, w0)
     assert np.abs(load).max() == 0.0
     # pure-enrichment phi (edge block zero) gives a zero rhs through the
     # edge interpolation
     phi = FeFunction(maps2[PHI], np.zeros(maps2[PHI].dim))
     phi.coeffs[maps2[ND].dim :] = 1.7
-    load2 = asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, phi)
+    load2 = asm.assemble_load("indphi_vs_gradp2", maps2, phi)
     assert np.abs(load2).max() == 0.0
 
 
@@ -260,11 +260,11 @@ def test_indphi_load_is_the_nd_route(mesh2, maps2):
     coefficients, and it matches an independent ND-basis quadrature."""
     rng = np.random.default_rng(37)
     phi = FeFunction(maps2[PHI], rng.standard_normal(maps2[PHI].dim))
-    load = asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, phi)
+    load = asm.assemble_load("indphi_vs_gradp2", maps2, phi)
     edges_only = FeFunction(maps2[PHI], phi.coeffs.copy())
     edges_only.coeffs[maps2[ND].dim :] = 0.0
     assert np.array_equal(
-        load, asm.assemble_load("indphi_vs_gradp2", mesh2, maps2, edges_only)
+        load, asm.assemble_load("indphi_vs_gradp2", maps2, edges_only)
     )
 
     geom = mesh_geometry(mesh2)
@@ -299,20 +299,27 @@ def test_class_batched_load_matches_per_tet_path(mesh2, maps2, kind):
         coeffs = np.random.default_rng(3).standard_normal(maps2[space].dim)
         data = FeFunction(maps2[space], coeffs)
     geom = mesh_geometry(mesh2)
-    batched = asm.assemble_load(kind, mesh2, maps2, data)
+    batched = asm.assemble_load(kind, maps2, data)
     saved = geom.rep_geometry
     geom.rep_geometry = None
     try:
-        direct = asm.assemble_load(kind, mesh2, maps2, data)
+        direct = asm.assemble_load(kind, maps2, data)
     finally:
         geom.rep_geometry = saved
     assert np.abs(batched - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
-def test_space_tag_mismatch_raises(mesh2, maps2):
-    phi = FeFunction(maps2[PHI], np.zeros(maps2[PHI].dim))
+@pytest.mark.parametrize("source", ["phi_function", "p2_on_another_mesh"])
+def test_space_tag_mismatch_raises(mesh2, maps2, source):
+    """A load takes its mesh from its target map, and rejects data of the
+    wrong space or from another mesh."""
+    if source == "phi_function":
+        data = FeFunction(maps2[PHI], np.zeros(maps2[PHI].dim))
+    else:
+        other = asm.build_dof_map(P2, build_unit_cube_mesh(2))
+        data = FeFunction(other, np.zeros(other.dim))
     with pytest.raises(asm.AssemblyError):
-        asm.assemble_load("gradw_vs_indphi", mesh2, maps2, phi)
+        asm.assemble_load("gradw_vs_indphi", maps2, data)
 
 
 def test_dof_single_valuedness(mesh2, maps2):

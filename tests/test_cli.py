@@ -65,6 +65,9 @@ def test_cli_config_error_exit_code(tmp_path):
         {"verify": True, "verify_levels": [0]}, {"verify": True, "seed": "x"},
         {"epsilons": []}, {"formats": []},
         {"serial": "false"}, {"verify": "no"}, {"infsup": 1},
+        # a JSON bool is a Python int, but no level, eps or seed
+        {"levels": [True, 2], "epsilons": [1.0]}, {"epsilons": [True]},
+        {"verify": True, "verify_levels": [True]}, {"seed": True},
     ):
         cfg = tmp_path / "invalid.json"
         cfg.write_text(json.dumps(fields))

@@ -266,7 +266,7 @@ def test_errors_and_load_match_a_direct_evaluation(monkeypatch, any_mesh, degree
                 ("l2_scalar", u, layer["u0"]), ("l2_vector", phi, layer["phi0"]),
             )
         ]
-        out += [asm.assemble_load("f_vs_p2", any_mesh, maps, data["f"])
+        out += [asm.assemble_load("f_vs_p2", maps, data["f"])
                 for data in (smooth, layer)]
         return out
 

@@ -70,6 +70,14 @@ def test_build_spaces_returns_a_level_of_the_six_maps(setup2):
     assert list(level) == list(SPACES)
 
 
+def test_a_level_of_another_mesh_raises(setup2):
+    """``decoupled_solve`` checks once that its level is built on its mesh."""
+    mesh, _ = setup2
+    other = build_spaces(build_unit_cube_mesh(2))
+    with pytest.raises(asm.AssemblyError):
+        decoupled_solve(smooth_case_fields(1.0)["f"], mesh, SolverConfig(), other)
+
+
 def test_solve_spd_identity_and_tridiagonal():
     I = sp.eye(5, format="csr")
     b = np.arange(5.0)
@@ -89,7 +97,7 @@ def test_solve_spd_contract_residual(setup2):
     S = asm.assemble_bilinear("poisson_p2", mesh, maps).matrix
     data = smooth_case_fields(1.0)
     # f = 3 pi^2 sin sin sin corresponds to the layer source; any smooth rhs works
-    b = asm.assemble_load("f_vs_p2", mesh, maps, data["f"])
+    b = asm.assemble_load("f_vs_p2", maps, data["f"])
     x = solve_spd(S, b)
     assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b) * 10
 
@@ -129,8 +137,7 @@ def test_saddle_zero_rhs(setup2):
     mesh, maps = setup2
     A = vector_form(mesh, maps, 0.5)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-    phi, lam, p, nu, info = solve_saddle(A, C, D, np.zeros(maps[PHI].dim), maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, np.zeros(maps[PHI].dim), maps)
     assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
@@ -144,13 +151,12 @@ def test_saddle_manufactured_curl_free(setup2):
     mesh, maps = setup2
     A = vector_form(mesh, maps, 0.7)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rng = np.random.default_rng(42)
     wstar = rng.standard_normal(maps[W].dim)
     grad = diff_operator_matrix("grad", maps)
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs_phi, maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, rhs_phi, maps)
     assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
@@ -163,10 +169,9 @@ def test_saddle_tiny_eps_robustness(setup2):
     eps = 1e-10
     A = vector_form(mesh, maps, eps)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(A, C, D, rhs, maps)
+    phi, lam, p, nu, info = solve_saddle(A, C, rhs, maps)
     assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
@@ -212,7 +217,7 @@ def test_reduced_mode_matches_direct(setup2):
         pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
         rhs = A @ phistar + C @ pstar
         phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs)
-        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, D, rhs, maps)
+        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, rhs, maps)
         assert info_d["mode"] == "direct" and info["mode"] == "reduced"
         scale = max(1.0, np.abs(phi_d).max())
         assert np.abs(phi_r - phi_d).max() <= 1e-7 * scale
@@ -272,9 +277,8 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
 
     monkeypatch.setattr(solvers, "solve_spd", recording_solve_spd)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     rhs = A @ (G @ rng.standard_normal(maps[W].dim))
-    solve_saddle(A, C, D, rhs, maps)
+    solve_saddle(A, C, rhs, maps)
     potential, projection = matrices[:2]
     assert _same_csr(potential, solvers._symmetric_part((G.T @ (A @ G)).tocsr()))
     assert projection is maps["projection_laplacian"]
@@ -435,7 +439,7 @@ def test_inner_stops_are_certificate_scaled(setup4):
     mesh, maps = setup4
     cfg = SolverConfig(eps=1.0)
     sol = decoupled_solve(smooth_case_fields(1.0)["f"], mesh, cfg, maps)
-    rhs_phi = asm.assemble_load("gradw_vs_indphi", mesh, maps, sol.w_h)
+    rhs_phi = asm.assemble_load("gradw_vs_indphi", maps, sol.w_h)
     atol = SPD_TOL * (1.0 + np.linalg.norm(rhs_phi))
     grad = diff_operator_matrix("grad", maps)
     first_potential = max(atol, SPD_TOL * np.linalg.norm(grad.T @ rhs_phi))
@@ -463,12 +467,11 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2, monkeypatch):
     curl_nd = maps["curl_nd"]
     A = vector_form(mesh, maps, 0.6)
     C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
     # a pure flux right-hand side: the potential solves take no iterations
     pstar = curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
     monkeypatch.setattr(solvers, "SPD_MAXITER", 5)
     with pytest.raises(SolverFailure) as exc:
-        solve_saddle(A, C, D, C @ pstar, maps)
+        solve_saddle(A, C, C @ pstar, maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
     # the refinement stops at its fourth residual: three corrections, and no
     # fourth that nothing would measure
