@@ -3,16 +3,22 @@ report with CSV / markdown / JSON writers."""
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .blas import OPENBLAS, one_blas_thread
 from .fields import quadrature_points
 from .interpolate import fe_gradients, fe_values, nd_interpolant
 from .mesh import mesh_geometry
 from .quadrature import TET, get_rule
 
 _CHUNK = 512
+# meshes of at least this many tets share the error pass with a helper
+# thread: it paid at n=16 (24,576 tets), was a wash at n=12 (10,368) and
+# lost at n=8
+_HELPER_TETS = 16_384
 
 # kind -> (evaluation of the discrete field, matching exact-field data)
 _ERROR_KINDS = {
@@ -41,28 +47,61 @@ def _part(kind, fe, exact):
     return evaluate, fe, exact_fn
 
 
+@one_blas_thread()
 def _squared_errors(parts, quad_degree):
     """Squared L2 / broken-H1 distances of ``_part`` triples on one mesh,
-    in one chunk loop: every part reads the chunk's points from one
-    ``take`` and keeps its own chunk-ordered sum."""
+    in one loop over chunks of tets: every part reads the chunk's points
+    from one ``take``, and each chunk returns its per-part sums, which
+    are added in chunk order.
+
+    A mesh of at least ``_HELPER_TETS`` tets hands every other chunk to
+    one helper thread.  Chunk 0 runs on this thread before the helper
+    starts, so every cache that the chunk loop fills (the factor values in
+    ``QuadraturePoints.memo``, the class tables in the representative's
+    ``_class_tables`` and its nodal coefficients) is complete before a
+    second thread reads it; the quadrature points and the geometry are
+    cached before the loop.  Without control of the BLAS threads the pass
+    stays serial.
+    """
     mesh = parts[0][1].dofmap.mesh
     geom = mesh_geometry(mesh)
     rule = get_rule(TET, quad_degree)
     w, pts = rule.weights, rule.points
     points = quadrature_points(geom, pts)
 
+    def chunk_sums(starts):
+        """Per-part sums of the chunks at ``starts``, one list per chunk.
+        One loop keeps a chunk's arrays alive until the next chunk's
+        replace them, so the heap is not trimmed and faulted in again
+        between chunks."""
+        out = []
+        for lo in starts:
+            tids = np.arange(lo, min(lo + _CHUNK, mesh.num_tets))
+            X = points.take(tids)
+            sums = []
+            for evaluate, fe, exact_fn in parts:
+                vals = evaluate(fe, pts, tids)
+                ex = np.asarray(exact_fn(X)).reshape(vals.shape)
+                vals -= ex  # vals is the evaluation's own array
+                # pointwise squared norm over the value axes (none for scalars)
+                d = vals.reshape(tids.size, w.size, -1)
+                sums.append(float(geom.volume[tids] @ (np.einsum("tqk,tqk->tq", d, d) @ w)))
+            out.append(sums)
+        return out
+
+    starts = range(0, mesh.num_tets, _CHUNK)
+    if mesh.num_tets < _HELPER_TETS or OPENBLAS is None:
+        chunks = chunk_sums(starts)
+    else:
+        chunks = chunk_sums(starts[:1]) + [None] * (len(starts) - 1)
+        with ThreadPoolExecutor(1) as helper:
+            theirs = helper.submit(chunk_sums, starts[1::2])
+            chunks[2::2] = chunk_sums(starts[2::2])
+            chunks[1::2] = theirs.result()
     totals = [0.0] * len(parts)
-    nT = mesh.num_tets
-    for lo in range(0, nT, _CHUNK):
-        tids = np.arange(lo, min(lo + _CHUNK, nT))
-        X = points.take(tids)
-        for i, (evaluate, fe, exact_fn) in enumerate(parts):
-            vals = evaluate(fe, pts, tids)
-            ex = np.asarray(exact_fn(X)).reshape(vals.shape)
-            vals -= ex  # vals is the evaluation's own array
-            # pointwise squared norm over the value axes (none for scalars)
-            d = vals.reshape(tids.size, w.size, -1)
-            totals[i] += float(geom.volume[tids] @ (np.einsum("tqk,tqk->tq", d, d) @ w))
+    for sums in chunks:
+        for i, s in enumerate(sums):
+            totals[i] += s
     return totals
 
 

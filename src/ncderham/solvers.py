@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from . import assembly as asm
 from .assembly import ND, P2, PHI, Q, RT, W
+from .blas import one_blas_thread
 from .fields import AnalyticField
 from .interpolate import (
     FeFunction, diff_operator_matrix, nd_interpolant, p1_kuhn_prolongation,
@@ -489,8 +490,10 @@ def _stage(label, t0, solve, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
+@one_blas_thread()
 def decoupled_solve(f_field, mesh, config, level, forms=None):
-    """Run the four decoupled stages for source ``f_field``.
+    """Run the four decoupled stages for source ``f_field``, on one BLAS
+    thread, so that the solution does not depend on the thread count.
 
     Stage 1 and 4 are quadratic-Lagrange Poisson solves sharing one
     stiffness matrix; stage 2/3 is the saddle system for the vector

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ncderham import assembly as asm
+from ncderham import errors
 from ncderham.assembly import ND, P2, PHI, Q, RT, W
 from ncderham.errors import (
     CSV_HEADER,
@@ -140,6 +142,52 @@ def test_err_phi_one_pass_matches_separate_norms(separate_phi_norms, eps):
     fe, exact, degree, (h1, l2, l2p) = separate_phi_norms
     assert err_phi(fe, exact, eps, degree) == math.sqrt((eps * h1) ** 2 + l2**2)
     assert err_phi_plain(fe, exact, eps, degree) == math.sqrt((eps * h1) ** 2 + l2p**2)
+
+
+def _every_norm(mesh, case, degree):
+    """Every compute_error kind and both combined errors of random P2 and
+    Phi functions on ``mesh``."""
+    rng = np.random.default_rng(17)
+    p2, phi = (FeFunction(m, rng.standard_normal(m.dim))
+               for m in (asm.build_dof_map(s, mesh) for s in (P2, PHI)))
+    data = smooth_case_fields(1e-4) if case == "smooth" else layer_case_fields()
+    u, exact = (data["u"], data["phi"]) if case == "smooth" else (data["u0"], data["phi0"])
+    return (
+        [compute_error(k, p2, u, degree) for k in ("l2_scalar", "h1semi_scalar")]
+        + [compute_error(k, phi, exact, degree)
+           for k in ("l2_vector", "broken_h1semi_vector", "l2_vs_ind")]
+        + [f(phi, exact, 1e-4, degree) for f in (err_phi, err_phi_plain)]
+    )
+
+
+# the per-tet path of the jittered mesh is slow and reads its caches as
+# the Kuhn mesh's class path does, so it takes one field
+@pytest.mark.parametrize("mesh_name, case", [
+    ("kuhn6", "smooth"), ("kuhn6", "layer"), ("jittered5", "smooth")])
+def test_the_helper_thread_keeps_every_error_bit(mesh_name, case, monkeypatch):
+    """With the size rule lowered to every mesh, half the chunks go to the
+    helper thread and every error keeps the serial pass's bits.  Each pass
+    runs on a fresh mesh, so the threaded one starts on empty caches, and
+    the threads switch every microsecond to shake out shared-cache races."""
+    build, degree = MULTI_CHUNK_MESHES[mesh_name]
+    serial = _every_norm(build(), case, degree)
+    submitted = []
+
+    class CountingPool(errors.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(errors, "_HELPER_TETS", 0)
+    monkeypatch.setattr(errors, "ThreadPoolExecutor", CountingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _every_norm(build(), case, degree)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert len(submitted) == 7  # one hand-off in each of the seven passes
 
 
 def test_l2_vs_ind_is_l2_of_the_nd_interpolant(mesh2, maps2):

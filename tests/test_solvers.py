@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -692,3 +696,35 @@ def test_p2_cycle_is_built_once_per_level(smooth_n16):
                if r["stage"].startswith("poisson")] for sol in (first, second)]
     assert setups[0][0] > 0
     assert setups[0][1:] + setups[1] == [0.0] * 3
+
+
+# sha1 of the four solution vectors of the n=12, eps=1e-4 smooth solve
+_HASH_SOLVE = """
+import hashlib
+from ncderham.fields import smooth_case_fields
+from ncderham.mesh import build_unit_cube_mesh
+from ncderham.solvers import SolverConfig, build_spaces, decoupled_solve
+mesh = build_unit_cube_mesh(12)
+sol = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh, SolverConfig(eps=1e-4),
+                      build_spaces(mesh))
+for k in ("w_h", "phi_h", "p_h", "u_h"):
+    print(k, hashlib.sha1(getattr(sol, k).coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_a_solve_does_not_depend_on_the_blas_thread_count():
+    """The n=12 solve gives the same bits under one and two OpenBLAS
+    threads; with threaded BLAS its CG reductions split differently.  n=12
+    is the smallest Kuhn level whose threaded solve differed (n=8 did not)."""
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASH_SOLVE], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src),
+        )
+        for threads in (1, 2)
+    ]
+    (one, _), (two, _) = (run.communicate(timeout=300) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(one.splitlines()) == 4
+    assert one == two
