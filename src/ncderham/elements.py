@@ -187,11 +187,9 @@ def shape_gradients(kind, geom, bary):
 
 def shape_curls(kind, geom):
     """Curls of the shape monomials; constant per tet, (T, nd, 3)."""
-    if kind not in (NEDELEC2, PHI_NC, RT0):
+    if kind not in (NEDELEC2, PHI_NC):
         raise CapabilityError(f"curl undefined for element kind {kind!r}")
     T = geom.grad_lambda.shape[0]
-    if kind == RT0:
-        return np.zeros((T, 4, 3))
     eye = np.eye(3)
     curls = np.cross(geom.grad_lambda[:, :, None, :], eye[None, None, :, :])
     curls = curls.reshape(T, 12, 3)

@@ -265,7 +265,7 @@ def _lanczos_max(A, inv_diag):
     return float(np.linalg.eigvalsh(T)[-1])
 
 
-def solve_saddle(A, C, rhs_phi, level):
+def solve_saddle(A, rhs_phi, level):
     """Solve the symmetric indefinite block system
 
         [ A    0   C   0 ] [phi]   [rhs_phi]
@@ -273,8 +273,10 @@ def solve_saddle(A, C, rhs_phi, level):
         [ C^T -D^T 0   0 ] [p  ]   [0]
         [ 0   e^T  0   0 ] [nu ]   [0]
 
-    where D is the level's ``div_coupling`` and e holds the cell measures
-    (zero-mean constraint on lam).  Returns (phi, lam, p, nu, info).
+    where C = K^T M_rt for both methods (K the level's ``curl``; the edge
+    interpolant keeps the edge DoFs that fix the curl), D = diag(|T|) div
+    and e = |T| (zero-mean constraint on lam), applied as products of the
+    complex's operators, never formed.  Returns (phi, lam, p, nu, info).
 
     The solve is an exact reduction through the discrete complex (the
     kernel of the coupling is the gradient range).  The multiplier block
@@ -285,11 +287,11 @@ def solve_saddle(A, C, rhs_phi, level):
     by the residual of the full block system, so correctness never rests on
     the reduction argument alone.
 
-    Every operator that does not depend on eps -- D, the complex's operators,
-    their transposes, the flux curl-curl, the projection Laplacian and,
-    where ``_takes_multigrid``, the potential's V-cycle transfers -- is read
-    from ``level`` (``build_spaces``), so the solves of a level form them
-    once.  Only the potential matrix ``G^T A G`` depends on eps.  The
+    Every operator that does not depend on eps -- the RT mass, the complex's
+    operators, their transposes, the flux curl-curl, the projection Laplacian
+    and, where ``_takes_multigrid``, the potential's V-cycle transfers -- is
+    read from ``level`` (``build_spaces``), so the solves of a level form
+    them once.  Only the potential matrix ``G^T A G`` depends on eps.  The
     refinement measures at most four residuals, after three corrections.
     """
     t0 = time.perf_counter()
@@ -297,18 +299,18 @@ def solve_saddle(A, C, rhs_phi, level):
     Ared = _symmetric_part(_sorted(Gt @ (A @ G)))
     # the other operators after Ared: on a level's first solve the products
     # that form Z then do not overlap those of Ared (the n=32 peak)
-    D, Knd, Gnd, Gnd_t, Z, L = (
+    K, Mrt, div, Knd, Gnd, Gnd_t, Z, L = (
         level[kind]
-        for kind in ("div_coupling", "curl_nd", "grad_nd", "grad_nd_t",
+        for kind in ("curl", "rt_mass", "div", "curl_nd", "grad_nd", "grad_nd_t",
                      "flux_curl_curl", "projection_laplacian")
     )
+    vols = asm.q_weights(level.mesh)
     multigrid = _takes_multigrid(level.mesh)  # else Jacobi
     nd_dim = Knd.shape[1]
-    nphi = A.shape[0]
-    nq = D.shape[0]
+    nphi, nrt, nq = A.shape[0], Mrt.shape[0], vols.size
 
     phi = np.zeros(nphi)
-    p = np.zeros(C.shape[1])
+    p = np.zeros(nrt)
     M = None
     bnorm = np.linalg.norm(rhs_phi)
     # every inner solve stops at the outer problem's scale as well as
@@ -317,7 +319,7 @@ def solve_saddle(A, C, rhs_phi, level):
     residuals = []
     krylov = []
     for sweep in range(1, 5):
-        r_phi = rhs_phi - A @ phi - C @ p
+        r_phi = rhs_phi - A @ phi - K.T @ (Mrt @ p)
         res = float(np.linalg.norm(r_phi) / (1.0 + bnorm))
         residuals.append(res)
         if res <= SADDLE_TOL:
@@ -355,8 +357,8 @@ def solve_saddle(A, C, rhs_phi, level):
     full_res = float(
         np.sqrt(
             np.linalg.norm(r_phi) ** 2
-            + np.linalg.norm(D @ p) ** 2
-            + np.linalg.norm(C.T @ phi) ** 2
+            + np.linalg.norm(vols * (div @ p)) ** 2
+            + np.linalg.norm(Mrt @ (K @ phi)) ** 2
         )
         / (1.0 + bnorm)
     )
@@ -370,7 +372,7 @@ def solve_saddle(A, C, rhs_phi, level):
         "mode": "reduced",
         "factor_seconds": time.perf_counter() - t0,
         "residuals": residuals + [full_res],
-        "dim": nphi + nq + C.shape[1] + 1,
+        "dim": nphi + nq + nrt + 1,
         "krylov": krylov,
     }
     return phi, lam, p, 0.0, info
@@ -498,11 +500,11 @@ def decoupled_solve(f_field, mesh, config, level, forms=None):
     Stage 1 and 4 are quadratic-Lagrange Poisson solves sharing one
     stiffness matrix; stage 2/3 is the saddle system for the vector
     unknown, the multiplier and the flux.  With ``method='interp'`` the
-    mass and coupling terms pass the vector argument through the local
-    edge interpolation onto the linear tangential element.  ``level`` is
-    the ``build_spaces`` of ``mesh``, shared by the solves on it; ``forms``
-    maps form kinds to forms a caller assembled up front, which the level
-    adopts where it has none of its own.
+    mass term and the loads pass the vector argument through the local edge
+    interpolation onto the linear tangential element (the coupling is the
+    same for both methods).  ``level`` is the ``build_spaces`` of ``mesh``,
+    shared by the solves on it; ``forms`` maps form kinds to forms a caller
+    assembled up front, which the level adopts where it has none of its own.
     """
     if not isinstance(f_field, AnalyticField):
         raise TypeError("f_field must be an AnalyticField")
@@ -526,12 +528,11 @@ def decoupled_solve(f_field, mesh, config, level, forms=None):
     mass = level["ind_mass" if interp else "phi_mass"]
     # copied so that it holds only its own entries (see _symmetric_part)
     A = ((config.eps**2) * stiff + mass).copy()
-    C = level["curl_coupling" if interp else "curl_coupling_plain"]
     rhs_phi = asm.assemble_load(
         "gradw_vs_indphi" if interp else "gradw_vs_phi", level, w_h
     )
     (phi, lam, p, nu, saddle_info), t_saddle = _stage(
-        "stage 2 (saddle)", time.perf_counter(), solve_saddle, A, C, rhs_phi, level,
+        "stage 2 (saddle)", time.perf_counter(), solve_saddle, A, rhs_phi, level,
     )
     phi_h = FeFunction(level[PHI], phi)
     lambda_h = FeFunction(level[Q], lam)

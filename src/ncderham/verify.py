@@ -338,13 +338,13 @@ def check_infsup(level, report=None):
     report = report if report is not None else CertificationReport()
     if level[PHI].dim > 2000:
         raise MemoryError("inf-sup check is dense; use n <= 2")
-    S, Mnd, Mrt, Ccoup, Kop, Dop = (
+    S, Mnd, Mrt, Kop, Dop = (
         level[kind].toarray()
-        for kind in ("phi_stiffness", "ind_mass", "rt_mass", "curl_coupling",
-                     "curl", "div")
+        for kind in ("phi_stiffness", "ind_mass", "rt_mass", "curl", "div")
     )
     vols = asm.q_weights(level.mesh)
-    Kc = Kop.T @ Mrt @ Kop
+    Ccoup = Kop.T @ Mrt  # (curl psi_i, q_j)
+    Kc = Ccoup @ Kop
     D = vols[:, None] * Dop  # (mu_k, div q_j) = |T_k| (div q_j)|_k
     Y = Mrt + Dop.T @ (vols[:, None] * Dop)
 

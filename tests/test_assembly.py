@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncderham import assembly as asm
 from ncderham import elements as el
@@ -149,15 +150,25 @@ def test_curl_coupling_with_and_without_interpolation(mesh2, maps2):
     assert abs(with_map - plain).max() / scale < 1e-12
 
 
-def test_curl_coupling_equals_rtmass_times_curl_matrix(mesh2, maps2):
+@pytest.mark.parametrize("name", ["kuhn2", "jittered2"])
+def test_curl_coupling_equals_rtmass_times_curl_matrix(name):
+    """The quadrature coupling forms are the complex's products that the
+    saddle stage applies: both curl couplings are K^T M_rt and the div
+    coupling is diag(|T|) div, on the Kuhn cube and on a jittered cube,
+    which takes the per-tet path."""
     from ncderham.interpolate import diff_operator_matrix
 
-    C = asm.assemble_bilinear("curl_coupling", mesh2, maps2).matrix
-    Mrt = asm.assemble_bilinear("rt_mass", mesh2, maps2).matrix
-    K = diff_operator_matrix("curl", maps2)
-    alt = K.T @ Mrt  # (curl psi_i, q_j) = sum_m K[m,i] (q_m, q_j)
-    scale = max(abs(C).max(), 1e-30)
-    assert abs(C - alt).max() / scale < 1e-12
+    mesh = _jittered_cube() if name == "jittered2" else build_unit_cube_mesh(2)
+    maps = _all_maps(mesh)
+    form = {kind: asm.assemble_bilinear(kind, mesh, maps).matrix for kind in
+            ("curl_coupling", "curl_coupling_plain", "div_coupling", "rt_mass")}
+    K, div = (diff_operator_matrix(kind, maps) for kind in ("curl", "div"))
+    C = K.T @ form["rt_mass"]  # (curl psi_i, q_j) = sum_m K[m,i] (q_m, q_j)
+    products = {"curl_coupling": C, "curl_coupling_plain": C,
+                "div_coupling": sp.diags(asm.q_weights(mesh)) @ div}
+    for kind, alt in products.items():
+        scale = max(abs(form[kind]).max(), 1e-30)
+        assert abs(form[kind] - alt).max() / scale < 1e-12, kind
 
 
 def _all_maps(mesh):

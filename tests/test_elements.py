@@ -109,8 +109,9 @@ def test_p0_basis_and_scalar_curl_error():
     mesh = single_tet_mesh(REF_VERTS)
     g = mesh_geometry(mesh).take([0])
     assert el.shape_values(el.P0, g, np.array([[0.4, 0.3, 0.2, 0.1]]))[0, 0, 0] == 1.0
-    with pytest.raises(el.CapabilityError):
-        el.shape_curls(el.W_NC, g)
+    for kind in (el.W_NC, el.RT0):
+        with pytest.raises(el.CapabilityError):
+            el.shape_curls(kind, g)
 
 
 def test_phi_curls_constant_and_consistent():

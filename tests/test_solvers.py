@@ -140,8 +140,7 @@ def test_solve_spd_records_a_drifted_true_residual(monkeypatch):
 def test_saddle_zero_rhs(setup2):
     mesh, maps = setup2
     A = vector_form(mesh, maps, 0.5)
-    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-    phi, lam, p, nu, info = solve_saddle(A, C, np.zeros(maps[PHI].dim), maps)
+    phi, lam, p, nu, info = solve_saddle(A, np.zeros(maps[PHI].dim), maps)
     assert info["mode"] == "reduced"
     assert np.abs(phi).max() == 0.0
     assert np.abs(lam).max() == 0.0
@@ -154,13 +153,12 @@ def test_saddle_manufactured_curl_free(setup2):
     recover it from the consistent right-hand side."""
     mesh, maps = setup2
     A = vector_form(mesh, maps, 0.7)
-    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     rng = np.random.default_rng(42)
     wstar = rng.standard_normal(maps[W].dim)
     grad = diff_operator_matrix("grad", maps)
     phistar = grad @ wstar  # curl-free member of the vector space
     rhs_phi = A @ phistar
-    phi, lam, p, nu, info = solve_saddle(A, C, rhs_phi, maps)
+    phi, lam, p, nu, info = solve_saddle(A, rhs_phi, maps)
     assert info["mode"] == "reduced"
     scale = np.abs(phistar).max()
     assert np.abs(phi - phistar).max() <= 1e-8 * scale
@@ -172,10 +170,9 @@ def test_saddle_tiny_eps_robustness(setup2):
     mesh, maps = setup2
     eps = 1e-10
     A = vector_form(mesh, maps, eps)
-    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(maps[PHI].dim) * 1e-2
-    phi, lam, p, nu, info = solve_saddle(A, C, rhs, maps)
+    phi, lam, p, nu, info = solve_saddle(A, rhs, maps)
     assert info["mode"] == "reduced"
     assert info["residuals"][-1] <= 1e-10
 
@@ -206,29 +203,33 @@ def test_decoupled_identities_nointerp(setup2):
 
 
 def test_reduced_mode_matches_direct(setup2):
-    """The complex-based reduction reproduces the monolithic factorization."""
-    mesh, maps = setup2
-    grad = diff_operator_matrix("grad", maps)
-    curl_nd = maps["curl_nd"]
-    rng = np.random.default_rng(7)
-    for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
-        A = vector_form(mesh, maps, eps, mass)
-        C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
-        D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
-        vols = asm.q_weights(mesh)
-        # consistent rhs: the image of a random curl-free state
-        phistar = grad @ rng.standard_normal(maps[W].dim)
-        pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
-        rhs = A @ phistar + C @ pstar
-        phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs)
-        phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, C, rhs, maps)
-        assert info_d["mode"] == "direct" and info["mode"] == "reduced"
-        scale = max(1.0, np.abs(phi_d).max())
-        assert np.abs(phi_r - phi_d).max() <= 1e-7 * scale
-        assert np.abs(p_r - p_d).max() <= 1e-6 * max(1.0, np.abs(p_d).max())
-        assert np.abs(lam_d).max() <= 1e-8
-        assert np.abs(lam_r).max() == 0.0
-        assert abs(nu_d) <= 1e-8 and nu_r == 0.0
+    """The complex-based reduction, which applies the couplings as products
+    of the complex's operators, reproduces the monolithic factorization of
+    the quadrature coupling forms, on the Kuhn cube and on a jittered cube
+    without translation structure."""
+    jittered = _jittered_cube()
+    for mesh, maps in (setup2, (jittered, build_spaces(jittered))):
+        grad = diff_operator_matrix("grad", maps)
+        curl_nd = maps["curl_nd"]
+        rng = np.random.default_rng(7)
+        for eps, mass in ((0.6, "ind_mass"), (1e-6, "ind_mass"), (0.3, "phi_mass")):
+            A = vector_form(mesh, maps, eps, mass)
+            C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
+            D = asm.assemble_bilinear("div_coupling", mesh, maps).matrix
+            vols = asm.q_weights(mesh)
+            # consistent rhs: the image of a random curl-free state
+            phistar = grad @ rng.standard_normal(maps[W].dim)
+            pstar = curl_nd @ rng.standard_normal(maps[ND].dim)
+            rhs = A @ phistar + C @ pstar
+            phi_d, lam_d, p_d, nu_d, info_d = solve_saddle_lu(A, C, D, vols, rhs)
+            phi_r, lam_r, p_r, nu_r, info = solve_saddle(A, rhs, maps)
+            assert info_d["mode"] == "direct" and info["mode"] == "reduced"
+            scale = max(1.0, np.abs(phi_d).max())
+            assert np.abs(phi_r - phi_d).max() <= 1e-7 * scale
+            assert np.abs(p_r - p_d).max() <= 1e-6 * max(1.0, np.abs(p_d).max())
+            assert np.abs(lam_d).max() <= 1e-8
+            assert np.abs(lam_r).max() == 0.0
+            assert abs(nu_d) <= 1e-8 and nu_r == 0.0
 
 
 def test_stage_matrices_shared(setup2):
@@ -280,9 +281,8 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
         return solve_spd(matrix, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_spd", recording_solve_spd)
-    C = asm.assemble_bilinear("curl_coupling", mesh, maps).matrix
     rhs = A @ (G @ rng.standard_normal(maps[W].dim))
-    solve_saddle(A, C, rhs, maps)
+    solve_saddle(A, rhs, maps)
     potential, projection = matrices[:2]
     assert _same_csr(potential, solvers._symmetric_part((G.T @ (A @ G)).tocsr()))
     assert projection is maps["projection_laplacian"]
@@ -292,7 +292,8 @@ def test_saddle_operators_keep_the_bits_of_the_product_chains(name, monkeypatch)
 def level_reuse():
     """Smooth n=4 solves at eps=1, then eps=1e-4, on one level, with both
     V-cycles forced on and every build of a form, an operator of the
-    complex, a transfer or a kind of the level table counted."""
+    complex, a transfer or a kind of the level table counted; then eps=1e-4
+    on a fresh level, and there, uncounted, eps=1e-4 with ``nointerp``."""
     mesh = build_unit_cube_mesh(4)
     level = build_spaces(mesh)
     built, cycles = [], []
@@ -322,9 +323,12 @@ def level_reuse():
         second = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
                                  SolverConfig(eps=1e-4), level)
         built_again = built[count:]
+        fresh_level = build_spaces(mesh)
         fresh = decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
-                                SolverConfig(eps=1e-4), build_spaces(mesh))
-    return {"level": level, "cached": cached,
+                                SolverConfig(eps=1e-4), fresh_level)
+    decoupled_solve(smooth_case_fields(1e-4)["f"], mesh,
+                    SolverConfig(eps=1e-4, method="nointerp"), fresh_level)
+    return {"level": level, "cached": cached, "fresh_level": fresh_level,
             "built": built[:count], "built_again": built_again, "cycles": cycles,
             "solves": (first, second, fresh)}
 
@@ -347,6 +351,18 @@ def test_a_second_solve_on_a_level_forms_nothing_eps_free_again(level_reuse):
     assert len(w_cycles) == 3  # one per saddle solve
     first, second = w_cycles[:2]
     assert all(a is b for a, b in zip(first.transfers, second.transfers, strict=True))
+
+
+COUPLING_KINDS = ("curl_coupling", "curl_coupling_plain", "div_coupling")
+
+
+def test_a_solve_assembles_no_coupling_form(level_reuse):
+    """The saddle stage applies its couplings as products of the complex's
+    operators, so neither method's solve builds a coupling form."""
+    r = level_reuse
+    for level in (r["level"], r["fresh_level"]):
+        assert not set(COUPLING_KINDS) & set(level)
+    assert "phi_mass" in r["fresh_level"]  # the nointerp solve ran on it
 
 
 def test_a_shared_level_solves_as_a_fresh_one(level_reuse):
@@ -475,7 +491,7 @@ def test_flux_solve_at_maxiter_is_left_to_the_certificate(setup2, monkeypatch):
     pstar = curl_nd @ np.random.default_rng(5).standard_normal(maps[ND].dim)
     monkeypatch.setattr(solvers, "SPD_MAXITER", 5)
     with pytest.raises(SolverFailure) as exc:
-        solve_saddle(A, C, C @ pstar, maps)
+        solve_saddle(A, C @ pstar, maps)
     assert "stopped at maxiter: flux (sweep 1)" in str(exc.value)
     # the refinement stops at its fourth residual: three corrections, and no
     # fourth that nothing would measure

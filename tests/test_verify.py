@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ncderham import assembly as asm
+from ncderham import cli
 from ncderham.cli import StudyConfig, main, run_verify
 from ncderham.fields import smooth_case_fields
 from ncderham.mesh import build_unit_cube_mesh
@@ -16,6 +17,7 @@ from ncderham.verify import (
     check_unisolvence,
     check_weak_continuity,
 )
+from test_solvers import COUPLING_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +83,15 @@ def test_check_unisolvence_small():
     assert rep.passed, rep.to_text()
 
 
-def test_check_infsup(level1):
-    rep = check_infsup(level1)
+def test_check_infsup():
+    """The inf-sup betas are positive, and the coupling comes from the
+    complex's operators: the check assembles no coupling form."""
+    level = build_spaces(build_unit_cube_mesh(1))
+    rep = check_infsup(level)
     assert rep.passed, rep.to_text()
     betas = [c.value for c in rep.checks]
     assert all(b > 0 for b in betas)
+    assert not set(COUPLING_KINDS) & set(level)
 
 
 def test_infsup_mesh_stability(level1, level2):
@@ -138,15 +144,23 @@ def test_serial_verify_json_matches_the_recorded_report(tmp_path):
 
 def test_run_verify_builds_each_verify_level_once(monkeypatch):
     """The checks of a verify n share one level, and the four identity
-    solves run on the largest one: two levels of six DoF maps each."""
-    calls = []
+    solves run on the largest one: two levels of six DoF maps each.  No
+    check or solve assembles a coupling form on them."""
+    calls, levels = [], []
     build = asm.build_dof_map
 
     def counting(space, mesh):
         calls.append(space)
         return build(space, mesh)
 
+    def recording(mesh):
+        levels.append(build_spaces(mesh))
+        return levels[-1]
+
     monkeypatch.setattr(asm, "build_dof_map", counting)
+    monkeypatch.setattr(cli, "build_spaces", recording)
     report = run_verify(StudyConfig(verify=True, infsup=True, serial=True))
     assert report.passed, report.to_text()
     assert len(calls) == 2 * len(SPACES)
+    assert len(levels) == 2
+    assert not any(set(COUPLING_KINDS) & set(level) for level in levels)
